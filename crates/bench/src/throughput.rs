@@ -3,8 +3,8 @@
 //! verification sweep.
 //!
 //! This is the perf counterpart of the determinism guarantees: the
-//! per-loop fan-out ([`tms_core::par::par_map`]) and the wavefront
-//! candidate search change *wall-clock only*, so this benchmark reports
+//! per-loop fan-out ([`tms_core::par::par_map`]) changes *wall-clock
+//! only*, so this benchmark reports
 //! loops/second and speedup per family and asserts (in
 //! `verify_sweep.reports_identical`) that the verification report is
 //! byte-for-byte the same at both worker counts. The `sched-throughput`
@@ -15,8 +15,7 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 use tms_core::cost::CostModel;
-use tms_core::par::{par_map_with, Parallelism};
-use tms_core::sms::SchedScratch;
+use tms_core::par::{par_map, Parallelism};
 use tms_core::{schedule_tms, schedule_tms_traced, TmsConfig};
 use tms_ddg::Ddg;
 use tms_trace::Trace;
@@ -229,7 +228,7 @@ fn time_family(ddgs: &[Ddg], jobs: Parallelism, cfg: &ExperimentConfig) -> f64 {
     let model = CostModel::new(arch.costs, arch.ncore);
     let tms_cfg = TmsConfig::default();
     let t0 = Instant::now();
-    let results = par_map_with(jobs, ddgs, SchedScratch::new, |_scratch, _, ddg| {
+    let results = par_map(jobs, ddgs, |_, ddg| {
         schedule_tms(ddg, &machine, &model, &tms_cfg)
             .map(|r| (r.ii, r.cost_key))
             .ok()

@@ -233,8 +233,7 @@ impl CostModel {
 /// popping a row's ladder head opens the next II row (whose head cannot
 /// be cheaper, by monotonicity in II), and popping any element pushes
 /// its successor along the ladder (monotonicity in `C_delay`). Emitted
-/// candidates are memoised so the wavefront search can random-access
-/// the prefix it has dispatched.
+/// candidates are memoised, so earlier indices stay random-access.
 #[derive(Debug, Clone)]
 pub struct CandidateStream {
     model: CostModel,
@@ -247,20 +246,6 @@ pub struct CandidateStream {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(CostKey, u32, u32, u32)>>,
     /// Memoised sorted prefix, in emission order.
     emitted: Vec<(u32, u32, CostKey)>,
-    /// Adaptive coarsening, when latched (see [`CandidateStream::coarsen`]).
-    coarsen: Option<Coarsen>,
-    /// Ladder rungs dropped by coarsening so far.
-    skipped: u64,
-}
-
-/// Latched coarsening state: rows step their ladder by `factor` while
-/// the popped key is strictly below `refine_above`; at or above it
-/// (the refinement band around the incumbent, where the win/lose
-/// boundary lies) the full ladder resolution is restored.
-#[derive(Debug, Clone, Copy)]
-struct Coarsen {
-    factor: u32,
-    refine_above: i64,
 }
 
 impl CandidateStream {
@@ -276,105 +261,35 @@ impl CandidateStream {
             next_row: mii + 1,
             heap,
             emitted: Vec::new(),
-            coarsen: None,
-            skipped: 0,
         }
     }
 
-    /// Total number of candidates the stream will emit — exact until
-    /// [`CandidateStream::coarsen`] is called, an upper bound after
-    /// (skipped rungs shrink the real count; callers iterating to
-    /// `total()` must then use [`CandidateStream::try_get`]).
+    /// Total number of candidates the stream will emit.
     pub fn total(&self) -> usize {
         ((self.ii_max - self.mii) as usize + 1) * self.ladder.len()
     }
 
-    /// Coarsen the `C_delay` grid for the *remaining* stream: every row
-    /// steps its ladder by `factor` rungs at a time while the candidate
-    /// key sits more than `margin` below `incumbent`, reverting to full
-    /// resolution inside that refinement band (and the ladder cap stays
-    /// reachable — an over-stepping row clamps to its last rung). The
-    /// already-emitted prefix is immutable, so indices the search has
-    /// dispatched never change meaning. Sorted emission order is
-    /// preserved: a row's key is monotone along its ladder, so stepping
-    /// further ahead keeps the frontier-heap invariant intact.
-    ///
-    /// Re-latching **composes** monotonically rather than overwriting:
-    /// the factor ratchets to the max of the latches, and the
-    /// refinement band — the region kept at full resolution near the
-    /// incumbent — never shrinks (`refine_above` takes the min). A
-    /// weaker second latch is therefore absorbed, and an escalating one
-    /// strengthens the coarsening without giving up refinement an
-    /// earlier latch promised. A `factor` ≤ 1 cannot coarsen anything;
-    /// it trips a `debug_assert` and is ignored in release builds.
-    pub fn coarsen(&mut self, factor: u32, incumbent: CostKey, margin: i64) {
-        debug_assert!(
-            factor > 1,
-            "CandidateStream::coarsen(factor={factor}) cannot coarsen the ladder"
-        );
-        if factor <= 1 {
-            return;
-        }
-        let refine_above = incumbent.0.saturating_sub(margin);
-        self.coarsen = Some(match self.coarsen {
-            Some(prev) => Coarsen {
-                factor: prev.factor.max(factor),
-                refine_above: prev.refine_above.min(refine_above),
-            },
-            None => Coarsen {
-                factor,
-                refine_above,
-            },
-        });
-    }
-
-    /// Ladder rungs dropped by coarsening so far.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
     /// The `idx`-th candidate in sorted order (0-based). Advances and
-    /// memoises the stream as needed; `idx` must be `< total()` and the
-    /// stream must not have been coarsened (use
-    /// [`CandidateStream::try_get`] then).
+    /// memoises the stream as needed; `idx` must be `< total()`.
     pub fn get(&mut self, idx: usize) -> &(u32, u32, CostKey) {
-        self.try_get(idx)
-            .expect("CandidateStream advanced past total()")
-    }
-
-    /// The `idx`-th candidate in sorted order, or `None` once the
-    /// (possibly coarsened) stream has fewer than `idx + 1` candidates.
-    pub fn try_get(&mut self, idx: usize) -> Option<&(u32, u32, CostKey)> {
         while self.emitted.len() <= idx {
-            if !self.advance() {
-                return None;
-            }
+            assert!(self.advance(), "CandidateStream advanced past total()");
         }
-        Some(&self.emitted[idx])
+        &self.emitted[idx]
     }
 
     fn advance(&mut self) -> bool {
         let Some(std::cmp::Reverse((key, ii, cd, pos))) = self.heap.pop() else {
             return false;
         };
-        // Successor along this row's ladder: the next rung at full
-        // resolution, `factor` rungs ahead when coarsened outside the
-        // refinement band (clamped so the cap rung is never skipped).
-        let step = match self.coarsen {
-            Some(c) if key.0 < c.refine_above => c.factor as usize,
-            _ => 1,
-        };
-        let mut next = pos as usize + step;
-        if next >= self.ladder.len() && (pos as usize) + 1 < self.ladder.len() {
-            next = self.ladder.len() - 1;
-        }
-        if let Some(&next_cd) = self.ladder.get(next) {
-            self.skipped += (next - pos as usize - 1) as u64;
+        // Successor along this row's ladder.
+        let next = pos + 1;
+        if let Some(&next_cd) = self.ladder.get(next as usize) {
             self.heap.push(std::cmp::Reverse((
                 self.model.cost_key(ii, next_cd),
                 ii,
                 next_cd,
-                next as u32,
+                next,
             )));
         }
         // Popping the newest row's ladder head opens the next row: its
@@ -563,56 +478,6 @@ mod tests {
         assert_eq!(*stream.get(n - 1), late);
         assert_eq!(early.0, 5);
         assert_eq!(early.1, m.costs.min_c_delay());
-    }
-
-    #[test]
-    fn coarsen_relatch_composes_monotonically() {
-        let m = model(4);
-        let mk = || m.candidate_stream(2, 6, 30, true);
-        fn drain(s: &mut CandidateStream) -> (Vec<(u32, u32, CostKey)>, u64) {
-            let mut out = Vec::new();
-            let mut i = 0;
-            while let Some(&c) = s.try_get(i) {
-                out.push(c);
-                i += 1;
-            }
-            (out, s.skipped())
-        }
-        let inc_lo = m.cost_key(3, 4);
-        let inc_hi = m.cost_key(6, 20);
-        assert!(inc_lo < inc_hi);
-        // Escalating: a second, stronger latch composes to exactly the
-        // stream a single latch at the composed parameters produces.
-        let mut twice = mk();
-        twice.coarsen(2, inc_hi, 2);
-        twice.coarsen(4, inc_lo, 2);
-        let mut once = mk();
-        once.coarsen(4, inc_lo, 2);
-        assert_eq!(drain(&mut twice), drain(&mut once));
-        // Absorbing: a weaker re-latch (smaller factor, band already
-        // covered) leaves the stronger latch in force.
-        let mut absorbed = mk();
-        absorbed.coarsen(4, inc_lo, 2);
-        absorbed.coarsen(2, inc_hi, 2);
-        let mut strong = mk();
-        strong.coarsen(4, inc_lo, 2);
-        assert_eq!(drain(&mut absorbed), drain(&mut strong));
-        // Degenerate factor (release behaviour): latch state unchanged.
-        if !cfg!(debug_assertions) {
-            let mut noop = mk();
-            noop.coarsen(1, inc_lo, 2);
-            let mut plain = mk();
-            assert_eq!(drain(&mut noop), drain(&mut plain));
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "cannot coarsen the ladder")]
-    fn degenerate_coarsen_factor_asserts_in_debug() {
-        let m = model(4);
-        let mut stream = m.candidate_stream(2, 6, 30, true);
-        stream.coarsen(1, m.cost_key(3, 4), 2);
     }
 
     #[test]

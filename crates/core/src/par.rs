@@ -1,8 +1,8 @@
 //! Deterministic bounded worker pools.
 //!
-//! Every parallel path in the system — the TMS candidate wavefront,
-//! the `tms-verify` family sweeps, the benchmark drivers — funnels
-//! through [`par_map`]/[`par_map_with`]: a scoped `std::thread` fan-out
+//! Every parallel path in the system — the paper-experiment and
+//! `tms-verify` per-loop sweeps, `tmsd` request batches, the benchmark
+//! drivers — funnels through [`par_map`]: a scoped `std::thread` fan-out
 //! over a slice whose results are always returned **in input order**,
 //! regardless of which worker finished first. Callers therefore get
 //! bit-identical output at any worker count, which is what lets the
@@ -20,12 +20,10 @@
 //! pathological loop would otherwise abort an entire sharded sweep),
 //! and — just as important — must not perturb the results of its
 //! neighbours. Each item runs under [`catch_unwind`]; on a panic the
-//! worker discards its scratch state (the unwound closure may have
-//! left it inconsistent), notes the item's index, and moves on. After
-//! the pool drains, the failed items are re-executed serially **in
-//! input order** with fresh scratch, so a transient panic (e.g. an
-//! injected fault that fires once) converges to exactly the serial
-//! result at any worker count. An item that panics again on the serial
+//! worker notes the item's index and moves on. After the pool drains,
+//! the failed items are re-executed serially **in input order**, so a
+//! transient panic (e.g. an injected fault that fires once) converges
+//! to exactly the serial result at any worker count. An item that panics again on the serial
 //! retry has a genuine, deterministic bug — that second panic
 //! propagates. Every caught panic increments the process-wide
 //! [`panics_caught`] counter so harnesses can assert on containment.
@@ -35,7 +33,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Process-wide count of worker panics caught (and recovered) by
-/// [`par_map_with`]. Monotonic; see [`panics_caught`].
+/// [`par_map`]. Monotonic; see [`panics_caught`].
 static PANICS_CAUGHT: AtomicU64 = AtomicU64::new(0);
 
 /// Total worker panics caught and recovered since process start.
@@ -113,146 +111,53 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_with(par, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`par_map`] with reusable per-worker scratch state: `init` runs once
-/// per worker (once total on the serial path) and the resulting value
-/// is threaded through every call that worker executes. This is how
-/// the scheduling hot paths amortise their per-attempt allocations
-/// (see `tms_core::sms::SchedScratch`). The scratches live only for
-/// this call; use [`par_map_with_slots`] to carry them across calls.
-pub fn par_map_with<T, R, S, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let mut slots: Vec<S> = Vec::new();
-    par_map_with_slots(par, items, &mut slots, init, f)
-}
-
-/// [`par_map_with`] with **caller-owned** per-worker scratch slots that
-/// survive across calls: `slots` is grown to the resolved worker count
-/// with `init` (existing entries are kept — including their contents
-/// from previous calls) and slot `w` is threaded through every item
-/// worker `w` executes this call. This is how the TMS wavefront search
-/// lets each worker warm-start from the decision logs of the chunk
-/// items *it* ran previously.
-///
-/// Which items a slot sees is scheduling-dependent and therefore
-/// nondeterministic across runs and worker counts — callers must only
-/// put state in slots whose contents cannot change results (caches
-/// whose hits are byte-identical to misses, like
-/// `tms_core::warm::AttemptLog`). Results are returned in input order
-/// as always. Panic containment matches [`par_map_with`]: a panicking
-/// item resets its worker's slot via `init` (the unwound closure may
-/// have left it inconsistent) and is re-executed serially, in input
-/// order, with *fresh* scratch that is discarded afterwards.
-pub fn par_map_with_slots<T, R, S, I, F>(
-    par: Parallelism,
-    items: &[T],
-    slots: &mut Vec<S>,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let workers = par.workers().min(items.len()).max(1);
-    if slots.len() < workers {
-        slots.resize_with(workers, &init);
-    }
-    if workers <= 1 {
-        let slot = &mut slots[0];
-        let mut out: Vec<(usize, R)> = Vec::with_capacity(items.len());
-        let mut failed: Vec<usize> = Vec::new();
-        for (i, t) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut *slot, i, t))) {
+    let cursor = AtomicUsize::new(0);
+    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+    // One worker's share: claim items off the shared cursor until it
+    // runs dry, containing each item's panic.
+    let drain = || {
+        let mut out: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
                 Ok(r) => out.push((i, r)),
                 Err(_) => {
                     PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                    *slot = init();
-                    failed.push(i);
+                    failed
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .push(i);
                 }
             }
         }
-        return finish(items, out, failed, &init, &f);
-    }
+        out
+    };
+    let mut merged: Vec<(usize, R)> = if workers <= 1 {
+        drain()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                // With per-item containment the worker body cannot
+                // unwind; this expect is an unreachable backstop.
+                .flat_map(|h| h.join().expect("par_map worker panicked"))
+                .collect()
+        })
+    };
 
-    let cursor = AtomicUsize::new(0);
-    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let failed = &failed;
-        let (f, init) = (&f, &init);
-        let handles: Vec<_> = slots[..workers]
-            .iter_mut()
-            .map(|slot| {
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut *slot, i, &items[i]))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(_) => {
-                                PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                                *slot = init();
-                                failed
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .push(i);
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // With per-item containment the worker body cannot unwind;
-            // this expect is an unreachable backstop.
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    });
-
-    let merged: Vec<(usize, R)> = shards.into_iter().flatten().collect();
-    let failed = failed
+    // Re-execute failed items serially in input order. A second panic
+    // here is a deterministic bug and propagates to the caller.
+    let mut failed = failed
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    finish(items, merged, failed, &init, &f)
-}
-
-/// Re-execute `failed` items serially in input order with fresh
-/// scratch, then sort everything back to input order. A second panic
-/// here is a deterministic bug and propagates to the caller.
-fn finish<T, R, S, I, F>(
-    items: &[T],
-    mut merged: Vec<(usize, R)>,
-    mut failed: Vec<usize>,
-    init: &I,
-    f: &F,
-) -> Vec<R>
-where
-    I: Fn() -> S,
-    F: Fn(&mut S, usize, &T) -> R,
-{
-    if !failed.is_empty() {
-        failed.sort_unstable();
-        let mut scratch = init();
-        for i in failed {
-            merged.push((i, f(&mut scratch, i, &items[i])));
-        }
+    failed.sort_unstable();
+    for i in failed {
+        merged.push((i, f(i, &items[i])));
     }
     debug_assert_eq!(merged.len(), items.len());
     merged.sort_unstable_by_key(|&(i, _)| i);
@@ -282,22 +187,6 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let items: [u32; 0] = [];
         assert!(par_map(Parallelism::Jobs(4), &items, |_, &x| x).is_empty());
-    }
-
-    #[test]
-    fn scratch_is_reused_within_a_worker() {
-        // On the serial path the single scratch sees every item.
-        let items: Vec<u32> = (0..10).collect();
-        let counts = par_map_with(
-            Parallelism::Serial,
-            &items,
-            || 0usize,
-            |seen, _, _| {
-                *seen += 1;
-                *seen
-            },
-        );
-        assert_eq!(counts, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -339,111 +228,5 @@ mod tests {
             assert_eq!(got, expect, "{par:?}");
             assert_eq!(panics_caught() - before, 2, "{par:?}");
         }
-    }
-
-    #[test]
-    fn scratch_is_rebuilt_after_a_caught_panic() {
-        // The panicking item bumps the scratch before unwinding; the
-        // retry must see a fresh one, not the poisoned survivor.
-        let items: Vec<u32> = (0..8).collect();
-        let first = std::sync::atomic::AtomicBool::new(true);
-        let got = par_map_with(
-            Parallelism::Serial,
-            &items,
-            || 0u32,
-            |dirty, i, &x| {
-                if i == 3 && first.swap(false, Ordering::Relaxed) {
-                    *dirty = 99;
-                    panic!("injected");
-                }
-                x + *dirty
-            },
-        );
-        assert_eq!(got, items);
-    }
-
-    #[test]
-    fn slots_persist_across_calls_and_size_to_the_worker_count() {
-        // Serial: slot 0 carries its count from the first call into the
-        // second, and only one slot is ever materialised.
-        let items: Vec<u32> = (0..5).collect();
-        let mut slots: Vec<usize> = Vec::new();
-        let bump = |seen: &mut usize, _: usize, _: &u32| {
-            *seen += 1;
-            *seen
-        };
-        let first = par_map_with_slots(Parallelism::Serial, &items, &mut slots, || 0, bump);
-        assert_eq!(first, vec![1, 2, 3, 4, 5]);
-        assert_eq!(slots, vec![5]);
-        let second = par_map_with_slots(Parallelism::Serial, &items, &mut slots, || 0, bump);
-        assert_eq!(second, vec![6, 7, 8, 9, 10]);
-
-        // Threaded: one slot per resolved worker (capped by item
-        // count), and across both calls every item lands in exactly one
-        // slot — the slots partition the work without loss.
-        let items: Vec<u32> = (0..32).collect();
-        let mut slots: Vec<usize> = Vec::new();
-        for round in 1..=2usize {
-            let done = par_map_with_slots(
-                Parallelism::Jobs(4),
-                &items,
-                &mut slots,
-                || 0,
-                |seen, _, _| {
-                    *seen += 1;
-                },
-            );
-            assert_eq!(done.len(), items.len());
-            assert_eq!(slots.len(), 4);
-            assert_eq!(slots.iter().sum::<usize>(), items.len() * round);
-        }
-
-        // More workers than items: slots stop at the item count.
-        let tiny: Vec<u32> = vec![7, 9];
-        let mut slots: Vec<usize> = Vec::new();
-        par_map_with_slots(Parallelism::Jobs(8), &tiny, &mut slots, || 0, |_, _, _| ());
-        assert_eq!(slots.len(), 2);
-    }
-
-    #[test]
-    fn slot_is_reset_after_a_caught_panic() {
-        // A panicking item must not leave its poisoned slot contents
-        // in place for the next call.
-        let items: Vec<u32> = (0..4).collect();
-        let mut slots: Vec<u32> = Vec::new();
-        let first = std::sync::atomic::AtomicBool::new(true);
-        let got = par_map_with_slots(
-            Parallelism::Serial,
-            &items,
-            &mut slots,
-            || 0u32,
-            |dirty, i, &x| {
-                if i == 1 && first.swap(false, Ordering::Relaxed) {
-                    *dirty = 99;
-                    panic!("injected");
-                }
-                x + *dirty
-            },
-        );
-        assert_eq!(got, items);
-        assert_eq!(slots, vec![0]);
-    }
-
-    #[test]
-    fn worker_results_match_serial_reference_with_state() {
-        let items: Vec<u64> = (0..64).collect();
-        let serial = par_map_with(
-            Parallelism::Serial,
-            &items,
-            || 0u64,
-            |_, i, &x| x + i as u64,
-        );
-        let parallel = par_map_with(
-            Parallelism::Jobs(4),
-            &items,
-            || 0u64,
-            |_, i, &x| x + i as u64,
-        );
-        assert_eq!(serial, parallel);
     }
 }

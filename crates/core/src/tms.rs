@@ -15,13 +15,12 @@ use crate::cost::{
 };
 use crate::diagnostics::{verify_schedule, Diagnostic, VerifyLimits};
 use crate::order::sms_order;
-use crate::par::{par_map_with_slots, Parallelism};
 use crate::profile::PlaceProfile;
 use crate::schedule::{PartialSchedule, Schedule};
 use crate::sms::{
     generic_scan_forced, generic_scan_window, ii_search_ceiling_from, order_priorities,
     schedule_sms_with, try_schedule_logged, try_schedule_prepared, try_schedule_profiled,
-    SchedError, SchedScratch, SlotPolicy,
+    SchedError, SchedScratch, SlotPolicy, SmsResult,
 };
 use crate::warm::{AttemptLog, Probe};
 use std::collections::{BTreeMap, HashMap};
@@ -57,12 +56,11 @@ pub struct TmsConfig {
     /// condition, not an infeasibility proof. Unlike
     /// [`TmsConfig::max_attempts`] (a correctness backstop), exhausting
     /// this budget is always reported. Deterministic: the same budget
-    /// degrades the same loops at every worker count.
+    /// degrades the same loops on every run.
     pub attempt_budget: Option<usize>,
     /// Wall-clock analogue of [`TmsConfig::attempt_budget`]: checked
-    /// before every attempt in both the serial and wavefront folds (the
-    /// cadence is aligned, the wall clock is not), so a pathological
-    /// loop cannot stall a sweep indefinitely. Inherently
+    /// before every dispatched attempt, so a pathological loop cannot
+    /// stall a sweep indefinitely. Inherently
     /// machine-dependent — campaigns that need bit-identical reports
     /// use `attempt_budget` instead. `Duration::ZERO` degrades before
     /// the first attempt, deterministically.
@@ -100,14 +98,6 @@ pub struct TmsConfig {
     /// a much smaller C_delay", §5.1) and only "slightly larger"
     /// MaxLive; bounding stages forces the same trade.
     pub max_extra_stages: u32,
-    /// Worker threads for the candidate search. Candidates are
-    /// independent, so the search dispatches them in cost-ordered
-    /// wavefront chunks and accepts the lowest-index success — results
-    /// (including the `attempts`/`rejects` accounting) are bit-identical
-    /// to the serial search at every worker count. Defaults to
-    /// [`Parallelism::Serial`]: callers that already parallelise at the
-    /// loop level (sweeps, benches) keep the inner search serial.
-    pub parallelism: Parallelism,
     /// Warm-start attempts across the candidate stream (default on).
     /// The search keeps one [`AttemptLog`] per II and replays the
     /// recorded decision prefix of the previous attempt at that II
@@ -121,31 +111,17 @@ pub struct TmsConfig {
     /// §9.4). Replay and guiding are both equivalence-preserving —
     /// schedules and accounting are byte-identical to the cold path
     /// (`tests/bnb_equivalence.rs` pins this) — so the flag exists for
-    /// A/B measurement, not correctness. Wavefront workers carry their
-    /// own per-II log slots across chunks ([`par_map_with_slots`]);
-    /// which attempts seed a worker's slot is scheduling-dependent, but
-    /// warm≡cold per attempt keeps the folded results identical at
-    /// every worker count. The `tms.reuse.*` counters stay serial-only.
+    /// A/B measurement, not correctness. The `tms.reuse.*` counters
+    /// report the steps replayed and executed.
     pub warm_start: bool,
-    /// Counter-driven adaptive candidate density (default **off**).
-    /// When the rejection diagnostics of dispatched attempts are
-    /// dominated by sync-delay infeasibility, the search coarsens the
-    /// `C_delay` ladder for the rest of the stream — except within a
-    /// refinement band near the SMS incumbent's cost key, where the
-    /// full grid is kept. Changes which candidates are visited, so the
-    /// resolved schedule may differ from the exhaustive search (always
-    /// to a candidate the exhaustive grid also contains); excluded from
-    /// the serial≡parallel identity guarantee and off in every default
-    /// path.
-    pub adaptive: bool,
     /// In-engine placement profiler (default **off**; see
     /// [`crate::profile`]). When on, every dispatched attempt runs
     /// *cold* — warm-start replay is bypassed, because replayed steps
     /// skip exactly the scans being attributed — and fills a
-    /// per-attempt [`PlaceProfile`] that the search folds serially in
+    /// per-attempt [`PlaceProfile`] that the search folds in
     /// candidate-index order. Schedules are unchanged (warm ≡ cold per
-    /// attempt); attribution counters and histograms are bit-identical
-    /// at every worker count and recorded under `tms.place.*`, and the
+    /// attempt); attribution counters and histograms are deterministic
+    /// and recorded under `tms.place.*`, and the
     /// folded profile is surfaced as [`TmsResult::profile`]. Sub-phase
     /// wall clocks land in the `tms.place.{scan,probe,fit,eject,force,
     /// verify}` trace timers, which — like `tms.phase.*` — are excluded
@@ -168,9 +144,7 @@ impl Default for TmsConfig {
             prune: true,
             allow_sms_fallback: true,
             max_extra_stages: 2,
-            parallelism: Parallelism::Serial,
             warm_start: true,
-            adaptive: false,
             profile: false,
         }
     }
@@ -249,24 +223,21 @@ pub struct TmsResult {
     /// Diagnostics of up to [`REJECT_LOG_CAP`] rejected candidates.
     pub rejects: Vec<CandidateReject>,
     /// The attempt budget cut the search short of a resolution (the
-    /// result is the degraded SMS fallback). Deterministic at every
-    /// worker count.
+    /// result is the degraded SMS fallback). Deterministic.
     pub budget_cut: bool,
     /// The wall-clock deadline cut the search short of a resolution.
     /// Inherently machine- and load-dependent: deadline cuts are
-    /// **excluded** from the bit-identical-across-`--jobs` guarantee
-    /// (the check cadence is aligned — before every attempt in both the
-    /// serial and wavefront folds — but wall time is not).
+    /// **excluded** from the bit-identical-report guarantee.
     pub deadline_cut: bool,
     /// Set iff the search was cut short by its attempt/deadline budget
     /// and the result is the degraded SMS fallback (always a
     /// [`Diagnostic::DegradedToSms`]). `None` for accepted candidates
     /// *and* for ordinary cost-driven SMS fallbacks.
     pub degraded: Option<Diagnostic>,
-    /// Folded placement profile of every consumed attempt, present iff
-    /// [`TmsConfig::profile`] was on. Attribution fields are
-    /// bit-identical at every worker count; the `*_ns` accumulators are
-    /// wall clock (see [`crate::profile`]).
+    /// Folded placement profile of every dispatched attempt, present
+    /// iff [`TmsConfig::profile`] was on. Attribution fields are
+    /// deterministic; the `*_ns` accumulators are wall clock (see
+    /// [`crate::profile`]).
     pub profile: Option<PlaceProfile>,
 }
 
@@ -418,7 +389,7 @@ pub struct TmsPolicy<'a> {
     /// Whether the most recent scan took the closed-form fast path
     /// (see [`SlotPolicy::scan_was_fast`]). The flag is a deterministic
     /// function of the partial-schedule state, so profiler attribution
-    /// keyed on it stays worker-count-independent.
+    /// keyed on it stays deterministic.
     last_scan_fast: std::cell::Cell<bool>,
 }
 
@@ -860,10 +831,12 @@ pub fn schedule_tms(
 /// verification), and counters for every attempt outcome keyed by
 /// [`Diagnostic::kind`].
 ///
-/// Counters and value histograms are recorded only in the serial fold
-/// (never in worker threads), so the metrics snapshot is bit-identical
-/// at every [`TmsConfig::parallelism`] level; span/timer *durations*
-/// are wall-clock and carry no such guarantee.
+/// The search is one serial loop run as named stages: *prepare* the
+/// attempt-invariant state, then for each candidate-major index
+/// *classify* it (candidate or prune), *run* the attempt and *fold* its
+/// outcome into the accounting until one is accepted; finally *record*
+/// the counters and *resolve* the result. Counters and value histograms
+/// are therefore deterministic; span/timer *durations* are wall clock.
 pub fn schedule_tms_traced(
     ddg: &Ddg,
     machine: &MachineModel,
@@ -871,112 +844,283 @@ pub fn schedule_tms_traced(
     config: &TmsConfig,
     trace: &Trace,
 ) -> Result<TmsResult, SchedError> {
-    let m = mii(ddg, machine);
-    if m == u32::MAX {
-        trace.count("tms.unschedulable", 1);
-        return Err(SchedError::Unschedulable {
-            loop_name: ddg.name().to_string(),
-        });
-    }
-    let order = trace.time("tms.phase.order", || sms_order(ddg));
-    let ldp = trace.time("tms.phase.ldp", || AcyclicPriorities::compute(ddg).ldp);
     let mut scratch = SchedScratch::new();
+    let search = Search::prepare(ddg, machine, model, config, trace, &mut scratch)?;
+    let (tally, accepted) = search.sweep(&mut scratch);
+    search.record(&tally);
+    search.resolve(tally, accepted)
+}
 
-    // SMS runs first: its II floors the candidate ceiling (on loops
-    // where ejection pressure pushes SMS well past both MII and LDP, a
-    // ceiling of max(MII, LDP) would leave TMS no feasible candidate at
-    // all), and its schedule is the ready-made fallback. The node order
-    // and LDP are attempt-invariant, so they are computed once here and
-    // shared with every candidate attempt below.
-    let sms = trace.time("tms.phase.sms_baseline", || {
-        schedule_sms_with(ddg, machine, order, ldp, &mut scratch)
-    })?;
-    let order = &sms.order;
-    // Attempt-invariant priority state derived from the SMS order,
-    // computed once and shared by every candidate attempt.
-    let pos = order_priorities(order, ddg.num_insts());
-    let ii_max = config
-        .ii_max
-        .unwrap_or((ldp as u32).max(m).max(sms.schedule.ii() + 2));
-    let max_lat = ddg.insts().iter().map(|i| i.latency).max().unwrap_or(1);
-    let cd_max = config
-        .c_delay_max
-        .unwrap_or(ii_max + max_lat + model.costs.c_reg_com);
-    // Candidates are generated lazily in cost order, one shell at a
-    // time: a search that resolves (or prunes) early never materialises
-    // or sorts the full grid.
-    let mut stream = model.candidate_stream(m, ii_max, cd_max, config.dense_candidates);
+/// Attempt-invariant state of one TMS search, computed once by
+/// [`Search::prepare`] and read by every candidate attempt.
+struct Search<'a> {
+    ddg: &'a Ddg,
+    machine: &'a MachineModel,
+    model: &'a CostModel,
+    config: &'a TmsConfig,
+    trace: &'a Trace,
+    mii: u32,
+    ldp: i64,
+    /// The SMS baseline: the fallback schedule, and the node order
+    /// every attempt reuses.
+    sms: SmsResult,
+    /// Achieved `C_delay` and cost key of the SMS baseline.
+    sms_achieved: u32,
+    sms_key: CostKey,
+    /// Priority positions of `sms.order`.
+    pos: Vec<usize>,
+    /// Candidate grid bounds.
+    ii_max: u32,
+    c_delay_max: u32,
+    /// Probe geometry shared by every `(II, C_delay, P_max)` policy.
+    probe_plan: ProbePlan,
+    /// Placement-independent C1 floor on the `C_delay` threshold.
+    c_delay_floor: i64,
+    /// Branch-and-bound cuts (see [`TmsConfig::prune`]): the SMS
+    /// incumbent key for the cost bound, and whether `P_max` duplicates
+    /// may be skipped.
+    cost_bound: Option<CostKey>,
+    p_max_dup: bool,
+}
 
-    let sms_achieved = crate::metrics::achieved_c_delay(ddg, &sms.schedule, &model.costs);
-    let sms_key = model.cost_key(sms.schedule.ii(), sms_achieved);
+/// One candidate-major index of the sweep: candidate `idx / P` tried
+/// with `p_max_values[idx % P]`, and the cut that prunes it, if any.
+struct Candidate {
+    ii: u32,
+    c_delay: u32,
+    key: CostKey,
+    p_max: f64,
+    prune: Option<PruneKind>,
+}
 
-    // Probe geometry is candidate-invariant: one plan serves every
-    // `(II, C_delay, P_max)` attempt, serial and wavefront alike.
-    let probe_plan = ProbePlan::new(ddg);
+impl<'a> Search<'a> {
+    /// Stage 1: MII, node order, LDP, the SMS baseline, the candidate
+    /// ceilings, the probe plan, the `C_delay` floor and the prune cuts.
+    fn prepare(
+        ddg: &'a Ddg,
+        machine: &'a MachineModel,
+        model: &'a CostModel,
+        config: &'a TmsConfig,
+        trace: &'a Trace,
+        scratch: &mut SchedScratch,
+    ) -> Result<Self, SchedError> {
+        let m = mii(ddg, machine);
+        if m == u32::MAX {
+            trace.count("tms.unschedulable", 1);
+            return Err(SchedError::Unschedulable {
+                loop_name: ddg.name().to_string(),
+            });
+        }
+        let order = trace.time("tms.phase.order", || sms_order(ddg));
+        let ldp = trace.time("tms.phase.ldp", || AcyclicPriorities::compute(ddg).ldp);
 
-    // Placement-independent C1 floor on the C_delay threshold. A self
-    // register-flow dependence with distance ≥ 1 always forms an
-    // inter-iteration dependence whose producer and consumer rows
-    // coincide, so its synchronisation delay is the slot-independent
-    // constant `latency + C_reg_com`: every `accept` probe for that
-    // node rejects whenever `C_delay` sits below it, windowed and
-    // forced placements alike. Attempts under the floor therefore
-    // cannot place the node at any slot — the engine would burn its
-    // whole ejection budget rediscovering a rejection the edge list
-    // already proves, so `run_attempt` short-circuits them to the
-    // identical `NoSchedule` outcome.
-    let c_delay_floor: i64 = ddg
-        .edges()
-        .iter()
-        .filter(|e| e.is_register_flow() && e.src == e.dst && e.distance >= 1)
-        .map(|e| sync_delay(0, 0, ddg.inst(e.src).latency, &model.costs))
-        .max()
-        .unwrap_or(i64::MIN);
+        // SMS runs first: its II floors the candidate ceiling (on loops
+        // where ejection pressure pushes SMS well past both MII and LDP,
+        // a ceiling of max(MII, LDP) would leave TMS no feasible
+        // candidate at all), and its schedule is the ready-made
+        // fallback. The node order and LDP are attempt-invariant, so
+        // they are computed once here and shared with every attempt.
+        let sms = trace.time("tms.phase.sms_baseline", || {
+            schedule_sms_with(ddg, machine, order, ldp, scratch)
+        })?;
+        let pos = order_priorities(&sms.order, ddg.num_insts());
+        let ii_max = config
+            .ii_max
+            .unwrap_or((ldp as u32).max(m).max(sms.schedule.ii() + 2));
+        let max_lat = ddg.insts().iter().map(|i| i.latency).max().unwrap_or(1);
+        let c_delay_max = config
+            .c_delay_max
+            .unwrap_or(ii_max + max_lat + model.costs.c_reg_com);
 
-    // Attempts are indexed candidate-major: index `idx` is candidate
-    // `idx / P` tried with `p_max_values[idx % P]` — exactly the
-    // iteration order of the nested serial loops.
-    let p_count = config.p_max_values.len();
-    let total_indices = stream.total().saturating_mul(p_count);
-    // Branch-and-bound cuts (see `TmsConfig::prune`). The cost bound
-    // needs the SMS incumbent; the `P_max` dedup only needs the loop to
-    // be free of memory-flow dependences.
-    let cost_bound = (config.prune && config.allow_sms_fallback).then_some(sms_key);
-    let p_max_dup = config.prune && !ddg.edges().iter().any(|e| e.is_memory_flow());
-    // The degradation budget and the safety cap both limit *dispatched*
-    // attempts (pruned candidates cost nothing); only the budget is
-    // reported as a cut, because exhausting it degrades to SMS while
-    // the safety cap falls through to the ordinary resolution paths.
-    let budget = config.attempt_budget.unwrap_or(usize::MAX);
-    let attempt_cap = budget.min(config.max_attempts);
-    let mut budget_cut = false;
-    let search_started = std::time::Instant::now();
-    let past_deadline = || {
-        config
-            .deadline
-            .is_some_and(|d| search_started.elapsed() >= d)
-    };
-    let mut deadline_cut = false;
+        let sms_achieved = crate::metrics::achieved_c_delay(ddg, &sms.schedule, &model.costs);
+        let sms_key = model.cost_key(sms.schedule.ii(), sms_achieved);
 
-    // One `(II, C_delay, P_max)` attempt. Pure given its index: reads
-    // only attempt-invariant state (plus the frames cache and a
-    // per-worker scratch), so attempts can run in any order on any
-    // thread and yield identical outcomes.
-    let run_attempt = |ii: u32,
-                       c_delay: u32,
-                       key: CostKey,
-                       p_max: f64,
-                       frames: Option<&TimeFrames>,
-                       scratch: &mut SchedScratch,
-                       log: Option<&mut AttemptLog>|
-     -> (AttemptOutcome, Option<Box<PlaceProfile>>) {
-        // Per-attempt placement profile (`TmsConfig::profile`): a pure
-        // function of the attempt index like the outcome itself, so the
-        // serial fold of consumed attempts' profiles is bit-identical
-        // at every worker count.
-        let mut prof = config
+        // Placement-independent C1 floor on the C_delay threshold. A
+        // self register-flow dependence with distance ≥ 1 always forms
+        // an inter-iteration dependence whose producer and consumer rows
+        // coincide, so its synchronisation delay is the slot-independent
+        // constant `latency + C_reg_com`: every `accept` probe for that
+        // node rejects whenever `C_delay` sits below it, windowed and
+        // forced placements alike. Attempts under the floor therefore
+        // cannot place the node at any slot — the engine would burn its
+        // whole ejection budget rediscovering a rejection the edge list
+        // already proves, so `run_attempt` short-circuits them to the
+        // identical `NoSchedule` outcome.
+        let c_delay_floor: i64 = ddg
+            .edges()
+            .iter()
+            .filter(|e| e.is_register_flow() && e.src == e.dst && e.distance >= 1)
+            .map(|e| sync_delay(0, 0, ddg.inst(e.src).latency, &model.costs))
+            .max()
+            .unwrap_or(i64::MIN);
+
+        // The cost bound needs the SMS incumbent; the `P_max` dedup only
+        // needs the loop to be free of memory-flow dependences.
+        let cost_bound = (config.prune && config.allow_sms_fallback).then_some(sms_key);
+        let p_max_dup = config.prune && !ddg.edges().iter().any(|e| e.is_memory_flow());
+
+        Ok(Search {
+            ddg,
+            machine,
+            model,
+            config,
+            trace,
+            mii: m,
+            ldp,
+            sms,
+            sms_achieved,
+            sms_key,
+            pos,
+            ii_max,
+            c_delay_max,
+            probe_plan: ProbePlan::new(ddg),
+            c_delay_floor,
+            cost_bound,
+            p_max_dup,
+        })
+    }
+
+    /// The serial `F`-ordered sweep. Each candidate-major index is
+    /// classified; pruned ones cost no attempt (the budget / safety-cap
+    /// / deadline gates sit *after* the prune check, so a pruned index
+    /// never trips them); the rest are run and folded in index order
+    /// until one is accepted.
+    fn sweep(&self, scratch: &mut SchedScratch) -> (Tally, Option<Accepted>) {
+        let config = self.config;
+        // Candidates are generated lazily in cost order, one shell at a
+        // time: a search that resolves (or prunes) early never
+        // materialises or sorts the full grid.
+        let mut stream = self.model.candidate_stream(
+            self.mii,
+            self.ii_max,
+            self.c_delay_max,
+            config.dense_candidates,
+        );
+        let total = stream.total().saturating_mul(config.p_max_values.len());
+        // The degradation budget and the safety cap both limit
+        // *dispatched* attempts; only the budget is reported as a cut,
+        // because exhausting it degrades to SMS while the safety cap
+        // falls through to the ordinary resolution paths.
+        let budget = config.attempt_budget.unwrap_or(usize::MAX);
+        let started = std::time::Instant::now();
+        let mut tally = Tally {
+            profile: config
+                .profile
+                .then(|| PlaceProfile::new(self.ddg.num_insts())),
+            ..Tally::default()
+        };
+        // Scheduling windows depend only on (DDG, II), not on the
+        // C_delay / P_max of the attempt, so the ASAP/ALAP frames are
+        // memoised per II — including across adjacent II rows the cost
+        // shells revisit out of numeric order.
+        let mut frames_cache: HashMap<u32, Option<TimeFrames>> = HashMap::new();
+        // Per-II decision logs for warm-started attempts, ordered so a
+        // new II row can seed from the nearest smaller one (see
+        // `warm_log_for`).
+        let mut warm_logs: BTreeMap<u32, AttemptLog> = BTreeMap::new();
+
+        for idx in 0..total {
+            let cand = self.classify(&mut stream, idx);
+            if let Some(kind) = cand.prune {
+                tally.prune(kind);
+                continue;
+            }
+            if tally.attempts >= budget {
+                tally.budget_cut = true;
+                break;
+            }
+            if tally.attempts >= config.max_attempts {
+                break;
+            }
+            if config.deadline.is_some_and(|d| started.elapsed() >= d) {
+                tally.deadline_cut = true;
+                break;
+            }
+            let frames = frames_cache
+                .entry(cand.ii)
+                .or_insert_with(|| {
+                    self.trace.time("tms.phase.frames", || {
+                        TimeFrames::compute(self.ddg, cand.ii)
+                    })
+                })
+                .as_ref();
+            // Profiled searches run every attempt cold: warm replay
+            // skips the window scans and probes being attributed, so a
+            // warm attempt would under-count exactly the hot paths the
+            // profiler exists to expose. Cold and warm attempts build
+            // byte-identical schedules, so only the timings shift.
+            let (outcome, prof) = if config.warm_start && !config.profile {
+                let log = warm_log_for(&mut warm_logs, cand.ii);
+                // The floor/no-frames short-circuits in `run_attempt`
+                // return without entering the engine; zeroing here keeps
+                // the reuse accounting from re-counting the previous
+                // attempt's figures on such an early exit.
+                log.replayed = 0;
+                log.executed = 0;
+                log.cross_replayed = 0;
+                let out = self.run_attempt(&cand, frames, scratch, Some(&mut *log));
+                tally.reuse(log);
+                out
+            } else {
+                self.run_attempt(&cand, frames, scratch, None)
+            };
+            if let Some(accepted) = tally.fold(self, &cand, outcome, prof.as_ref()) {
+                return (tally, Some(accepted));
+            }
+        }
+        (tally, None)
+    }
+
+    /// Stage 2: the candidate at one candidate-major index, and which
+    /// branch-and-bound cut (if any) removes it. Classification order is
+    /// fixed — `P_max` dedup before the cost bound — so the per-kind
+    /// counters are deterministic.
+    fn classify(&self, stream: &mut CandidateStream, idx: usize) -> Candidate {
+        let p_count = self.config.p_max_values.len();
+        let p_idx = idx % p_count;
+        let &(ii, c_delay, key) = stream.get(idx / p_count);
+        let prune = if self.p_max_dup && p_idx != 0 {
+            Some(PruneKind::PMaxDup)
+        } else if self
+            .cost_bound
+            .is_some_and(|b| self.model.floor_key(ii) > b)
+        {
+            Some(PruneKind::CostBound)
+        } else {
+            None
+        };
+        Candidate {
+            ii,
+            c_delay,
+            key,
+            p_max: self.config.p_max_values[p_idx],
+            prune,
+        }
+    }
+
+    /// Stage 3: one `(II, C_delay, P_max)` attempt — the warm, profiled
+    /// or cold engine call, then post-search verification of the built
+    /// kernel. Returns the outcome plus the attempt's placement profile
+    /// when [`TmsConfig::profile`] is on.
+    fn run_attempt(
+        &self,
+        cand: &Candidate,
+        frames: Option<&TimeFrames>,
+        scratch: &mut SchedScratch,
+        log: Option<&mut AttemptLog>,
+    ) -> (AttemptOutcome, Option<PlaceProfile>) {
+        let (ddg, machine, trace) = (self.ddg, self.machine, self.trace);
+        let Candidate {
+            ii,
+            c_delay,
+            key,
+            p_max,
+            ..
+        } = *cand;
+        let mut prof = self
+            .config
             .profile
-            .then(|| Box::new(PlaceProfile::new(ddg.num_insts())));
+            .then(|| PlaceProfile::new(ddg.num_insts()));
         let mut span = trace.span("tms", "attempt");
         span.arg("loop", ddg.name());
         span.arg("ii", ii);
@@ -985,52 +1129,33 @@ pub fn schedule_tms_traced(
         let Some(frames) = frames else {
             return (AttemptOutcome::NoSchedule, prof);
         };
-        if (c_delay as i64) < c_delay_floor {
+        if (c_delay as i64) < self.c_delay_floor {
             // A self reg-flow dependence needs sync ≤ C_delay at every
             // slot; below the floor the engine provably cannot place
             // its node (same outcome, decided without running it).
             return (AttemptOutcome::NoSchedule, prof);
         }
-        let policy = TmsPolicy::new(&model.costs, &probe_plan, c_delay, p_max);
+        let policy = TmsPolicy::new(&self.model.costs, &self.probe_plan, c_delay, p_max);
+        let (order, pos) = (&self.sms.order, &self.pos);
         let t_place = prof.as_ref().map(|_| std::time::Instant::now());
-        let prof_ref = prof.as_deref_mut();
-        let placed = trace.time("tms.phase.place", || match (log, prof_ref) {
-            // Warm path (serial search only): replay the previous
-            // attempt's validated decision prefix, run cold from the
-            // first divergence. Byte-identical to the cold call below.
+        let placed = trace.time("tms.phase.place", || match (log, prof.as_mut()) {
+            // Warm path: replay the previous attempt's validated
+            // decision prefix, run cold from the first divergence.
+            // Byte-identical to the cold call below.
             (Some(log), None) => {
-                try_schedule_logged(ddg, machine, ii, order, &pos, &policy, frames, scratch, log)
+                try_schedule_logged(ddg, machine, ii, order, pos, &policy, frames, scratch, log)
             }
             // Profiled attempts run cold (replay skips the scans being
-            // attributed; the callers pass no log when profiling).
+            // attributed; the sweep passes no log when profiling).
             (_, Some(p)) => {
-                try_schedule_profiled(ddg, machine, ii, order, &pos, &policy, frames, scratch, p)
+                try_schedule_profiled(ddg, machine, ii, order, pos, &policy, frames, scratch, p)
             }
             (None, None) => {
-                try_schedule_prepared(ddg, machine, ii, order, &pos, &policy, frames, scratch)
+                try_schedule_prepared(ddg, machine, ii, order, pos, &policy, frames, scratch)
             }
         });
-        if let Some(p) = prof.as_deref() {
-            // Sub-phase timers, one sample per attempt — wall clock,
-            // excluded from the deterministic snapshot like
-            // `tms.phase.*` — plus the Perfetto counter tracks for
-            // per-attempt place time and deepest eject chain.
-            let place_ns = t_place.unwrap().elapsed().as_nanos() as u64;
-            trace.time_ns("tms.place.scan", p.scan_ns);
-            trace.time_ns("tms.place.probe", p.probe_ns);
-            trace.time_ns("tms.place.fit", p.fit_ns);
-            trace.time_ns("tms.place.eject", p.eject_ns);
-            trace.time_ns("tms.place.force", p.force_ns);
-            trace.counter_sample_now(
-                "tms.counter",
-                || "tms.place.attempt_ns".to_string(),
-                place_ns,
-            );
-            trace.counter_sample_now(
-                "tms.counter",
-                || "tms.place.max_eject_chain".to_string(),
-                p.attempt_max_chain(),
-            );
+        if let (Some(p), Some(t)) = (prof.as_ref(), t_place) {
+            flush_place_timers(trace, p, t.elapsed().as_nanos() as u64);
         }
         let Some(schedule) = placed else {
             return (AttemptOutcome::NoSchedule, prof);
@@ -1040,26 +1165,26 @@ pub fn schedule_tms_traced(
         // the final kernel can exceed the thresholds the slots were
         // accepted under. Every rejection is recorded with its
         // diagnostics instead of vanishing into a bare `continue`.
-        let min_stages = (ldp as u32).div_ceil(ii.max(1)).max(1);
+        let min_stages = (self.ldp as u32).div_ceil(ii.max(1)).max(1);
         let limits = VerifyLimits {
             c_delay: Some(c_delay),
             p_max: Some(p_max),
-            max_stages: Some(min_stages + config.max_extra_stages),
+            max_stages: Some(min_stages + self.config.max_extra_stages),
         };
         let t_verify = prof.as_ref().map(|_| std::time::Instant::now());
         let diagnostics = trace.time("tms.phase.verify", || {
-            verify_schedule(ddg, &schedule, machine, &model.costs, &limits)
+            verify_schedule(ddg, &schedule, machine, &self.model.costs, &limits)
         });
-        if let Some(p) = prof.as_deref_mut() {
-            let verify_ns = t_verify.unwrap().elapsed().as_nanos() as u64;
+        if let (Some(p), Some(t)) = (prof.as_mut(), t_verify) {
+            let verify_ns = t.elapsed().as_nanos() as u64;
             p.verify_ns += verify_ns;
             trace.time_ns("tms.place.verify", verify_ns);
         }
         if !diagnostics.is_empty() {
             return (AttemptOutcome::Rejected(diagnostics), prof);
         }
-        let achieved = crate::metrics::achieved_c_delay(ddg, &schedule, &model.costs);
-        let tms_key = model.cost_key(ii, achieved);
+        let achieved = crate::metrics::achieved_c_delay(ddg, &schedule, &self.model.costs);
+        let tms_key = self.model.cost_key(ii, achieved);
         // The achieved C_delay is ≤ the candidate threshold and the
         // cost key is monotone in C_delay, so the candidate key is an
         // upper bound on the realised key.
@@ -1068,33 +1193,212 @@ pub fn schedule_tms_traced(
             "achieved key {tms_key:?} exceeds candidate bound {key:?}"
         );
         (AttemptOutcome::Built { schedule, tms_key }, prof)
-    };
+    }
 
-    // Fold one outcome into the serial accounting. Mirrors the serial
-    // loop body exactly: every dispatched attempt counts, rejections are
-    // logged in attempt order, and the first *accepted* `Built` outcome
-    // resolves the search. A schedule that builds but loses to the SMS
-    // baseline under the same eq. 2 cost does *not* resolve: the search
-    // keeps going, because a later candidate in cost order can still
-    // realise a cheaper key (its achieved C_delay may undercut the
-    // threshold it was tried at). This is also what makes the cost
-    // lower bound admissible — pruning a candidate whose floor exceeds
-    // the SMS key can only skip lost-to-baseline outcomes.
-    let mut attempts = 0usize;
-    let mut rejected = 0usize;
-    let mut lost = 0usize;
-    let mut rejects: Vec<CandidateReject> = Vec::new();
-    let mut resolution: Option<Accepted> = None;
-    let fold = |ii: u32,
-                c_delay: u32,
-                p_max: f64,
-                outcome: AttemptOutcome,
-                attempts: &mut usize,
-                rejected: &mut usize,
-                lost: &mut usize,
-                rejects: &mut Vec<CandidateReject>|
-     -> Option<Accepted> {
-        *attempts += 1;
+    /// Stage 5: the search-level counters and value histograms, recorded
+    /// once after the sweep. `count` always inserts its key, so the
+    /// schema holds even at zero.
+    fn record(&self, tally: &Tally) {
+        let trace = self.trace;
+        trace.count("tms.pruned.cost-bound", tally.pruned_cost as u64);
+        trace.count("tms.pruned.p-max-dup", tally.pruned_pmax as u64);
+        // Warm-start reuse accounting: attempts that replayed ≥ 1
+        // recorded step, the step totals replayed vs executed cold, and
+        // the cross-II figures (attempts whose guide rebuilt ≥ 1 window
+        // from transferred facts, and those window-rebuild totals).
+        trace.count("tms.reuse.warm-attempts", tally.warm_attempts);
+        trace.count("tms.reuse.cross-ii-attempts", tally.cross_attempts);
+        trace.count("tms.reuse.cross-ii-steps-replayed", tally.cross_steps);
+        trace.count("tms.reuse.steps-replayed", tally.steps_replayed);
+        trace.count("tms.reuse.steps-executed", tally.steps_executed);
+        trace.record("tms.pruned_per_loop", tally.pruned() as u64);
+        trace.record("tms.attempts_per_loop", tally.attempts as u64);
+        // Wall-clock counter track: attempts spent on each loop, sampled
+        // as the scheduler finishes it, so a sweep's hot loops stand out
+        // as spikes in Perfetto.
+        trace.counter_sample_now(
+            "tms.counter",
+            || "tms.attempts_per_loop".to_string(),
+            tally.attempts as u64,
+        );
+        // Placement attribution (`TmsConfig::profile`), from the folded
+        // profile. The per-attempt wall-clock timers were flushed inside
+        // `run_attempt` and live only in the (non-deterministic) timers
+        // section.
+        if let Some(p) = &tally.profile {
+            trace.count("tms.place.scans", p.scans);
+            trace.count("tms.place.forced", p.forced);
+            trace.count("tms.place.ejected", p.ejected);
+            trace.count("tms.place.probe.accept-fast", p.probe_accept_fast);
+            trace.count("tms.place.probe.accept-generic", p.probe_accept_generic);
+            trace.count("tms.place.probe.c1-reject-fast", p.probe_c1_fast);
+            trace.count("tms.place.probe.c1-reject-generic", p.probe_c1_generic);
+            trace.count("tms.place.probe.c2-reject-fast", p.probe_c2_fast);
+            trace.count("tms.place.probe.c2-reject-generic", p.probe_c2_generic);
+            trace.count("tms.place.probe.opaque", p.probe_opaque);
+            trace.record_histogram("tms.place.eject_chain_depth", &p.eject_chain_depth);
+            trace.record_histogram("tms.place.forced_per_attempt", &p.forced_per_attempt);
+        }
+    }
+
+    /// Stage 6: the accepted candidate, the SMS fallback (ordinary or
+    /// degraded by the budget/deadline), or the unschedulable error.
+    fn resolve(self, tally: Tally, accepted: Option<Accepted>) -> Result<TmsResult, SchedError> {
+        let trace = self.trace;
+        let fell_back_to_sms = accepted.is_none();
+        // The search degraded iff its budget (attempts or deadline) cut
+        // it short of a resolution; a full, unresolved sweep of the
+        // candidate space is the ordinary fallback/unschedulable path.
+        let exhausted_early = fell_back_to_sms && (tally.deadline_cut || tally.budget_cut);
+        let (schedule, ii, c_delay_threshold, p_max, cost_key, degraded) = match accepted {
+            Some(a) => {
+                trace.count("tms.accepted", 1);
+                (a.schedule, a.ii, a.c_delay, a.p_max, a.tms_key, None)
+            }
+            // An unresolved sweep (every built schedule lost to the SMS
+            // baseline, or nothing built at all) falls back to SMS; a
+            // budget- or deadline-exhausted search falls back here too —
+            // degrading to SMS is an operational answer, erroring would
+            // lose the loop.
+            None if self.config.allow_sms_fallback || exhausted_early => {
+                let degraded = exhausted_early.then(|| {
+                    trace.count("tms.degraded_to_sms", 1);
+                    Diagnostic::DegradedToSms {
+                        loop_name: self.ddg.name().to_string(),
+                        attempts: tally.attempts,
+                        budget: self.config.attempt_budget.unwrap_or(0),
+                    }
+                });
+                trace.count("tms.fallback", 1);
+                let ii = self.sms.schedule.ii();
+                let sms = self.sms.schedule;
+                (sms, ii, self.sms_achieved, 1.0, self.sms_key, degraded)
+            }
+            None => {
+                trace.count("tms.unschedulable", 1);
+                return Err(SchedError::NoScheduleFound {
+                    loop_name: self.ddg.name().to_string(),
+                    ii_tried: ii_search_ceiling_from(self.ddg, self.mii, self.ldp),
+                });
+            }
+        };
+        Ok(TmsResult {
+            schedule,
+            mii: self.mii,
+            ldp: self.ldp,
+            ii,
+            c_delay_threshold,
+            p_max,
+            cost_key,
+            fell_back_to_sms,
+            attempts: tally.attempts,
+            pruned: tally.pruned(),
+            rejected_candidates: tally.rejected,
+            lost_to_baseline: tally.lost,
+            rejects: tally.rejects,
+            budget_cut: tally.budget_cut,
+            deadline_cut: tally.deadline_cut,
+            degraded,
+            profile: tally.profile,
+        })
+    }
+}
+
+/// Flush one profiled attempt's sub-phase timers — one sample per
+/// attempt, wall clock, excluded from the deterministic snapshot like
+/// `tms.phase.*` — plus the Perfetto counter tracks for the attempt's
+/// place time and deepest eject chain.
+fn flush_place_timers(trace: &Trace, p: &PlaceProfile, place_ns: u64) {
+    trace.time_ns("tms.place.scan", p.scan_ns);
+    trace.time_ns("tms.place.probe", p.probe_ns);
+    trace.time_ns("tms.place.fit", p.fit_ns);
+    trace.time_ns("tms.place.eject", p.eject_ns);
+    trace.time_ns("tms.place.force", p.force_ns);
+    trace.counter_sample_now(
+        "tms.counter",
+        || "tms.place.attempt_ns".to_string(),
+        place_ns,
+    );
+    trace.counter_sample_now(
+        "tms.counter",
+        || "tms.place.max_eject_chain".to_string(),
+        p.attempt_max_chain(),
+    );
+}
+
+/// Stage 4: the search's accounting, folded in candidate-index order.
+#[derive(Default)]
+struct Tally {
+    /// Dispatched attempts.
+    attempts: usize,
+    /// Built schedules rejected by post-search verification.
+    rejected: usize,
+    /// Verified schedules that lost to the SMS baseline.
+    lost: usize,
+    /// The first [`REJECT_LOG_CAP`] verification rejections.
+    rejects: Vec<CandidateReject>,
+    /// Indices skipped by each branch-and-bound cut.
+    pruned_cost: usize,
+    pruned_pmax: usize,
+    budget_cut: bool,
+    deadline_cut: bool,
+    /// Warm-start reuse (the `tms.reuse.*` counters).
+    warm_attempts: u64,
+    steps_replayed: u64,
+    steps_executed: u64,
+    cross_attempts: u64,
+    cross_steps: u64,
+    /// Merged placement profile of every dispatched attempt, present
+    /// iff [`TmsConfig::profile`] is on.
+    profile: Option<PlaceProfile>,
+}
+
+impl Tally {
+    fn pruned(&self) -> usize {
+        self.pruned_cost + self.pruned_pmax
+    }
+
+    fn prune(&mut self, kind: PruneKind) {
+        match kind {
+            PruneKind::PMaxDup => self.pruned_pmax += 1,
+            PruneKind::CostBound => self.pruned_cost += 1,
+        }
+    }
+
+    /// Take a warm attempt's reuse figures off its log.
+    fn reuse(&mut self, log: &AttemptLog) {
+        if log.replayed > 0 {
+            self.warm_attempts += 1;
+        }
+        self.steps_replayed += log.replayed;
+        self.steps_executed += log.executed;
+        if log.cross_replayed > 0 {
+            self.cross_attempts += 1;
+        }
+        self.cross_steps += log.cross_replayed;
+    }
+
+    /// Fold one dispatched attempt: every attempt counts, rejections are
+    /// logged in attempt order, and the first *accepted* `Built` outcome
+    /// resolves the search. A schedule that builds but loses to the SMS
+    /// baseline under the same eq. 2 cost does *not* resolve: the search
+    /// keeps going, because a later candidate in cost order can still
+    /// realise a cheaper key (its achieved C_delay may undercut the
+    /// threshold it was tried at). This is also what makes the cost
+    /// lower bound admissible — pruning a candidate whose floor exceeds
+    /// the SMS key can only skip lost-to-baseline outcomes.
+    fn fold(
+        &mut self,
+        search: &Search<'_>,
+        cand: &Candidate,
+        outcome: AttemptOutcome,
+        prof: Option<&PlaceProfile>,
+    ) -> Option<Accepted> {
+        if let (Some(sp), Some(p)) = (self.profile.as_mut(), prof) {
+            sp.merge(p);
+        }
+        let trace = search.trace;
+        self.attempts += 1;
         trace.count("tms.attempts", 1);
         match outcome {
             AttemptOutcome::NoSchedule => {
@@ -1102,553 +1406,41 @@ pub fn schedule_tms_traced(
                 None
             }
             AttemptOutcome::Rejected(diagnostics) => {
-                *rejected += 1;
+                self.rejected += 1;
                 trace.count("tms.rejected", 1);
                 for d in &diagnostics {
                     trace.count_keyed("tms.reject.", d.kind(), 1);
                 }
-                if rejects.len() < REJECT_LOG_CAP {
-                    rejects.push(CandidateReject {
-                        ii,
-                        c_delay,
-                        p_max,
+                if self.rejects.len() < REJECT_LOG_CAP {
+                    self.rejects.push(CandidateReject {
+                        ii: cand.ii,
+                        c_delay: cand.c_delay,
+                        p_max: cand.p_max,
                         diagnostics,
                     });
                 }
                 None
             }
             AttemptOutcome::Built { schedule, tms_key } => {
-                if config.allow_sms_fallback && sms_key < tms_key {
-                    *lost += 1;
+                if search.config.allow_sms_fallback && search.sms_key < tms_key {
+                    self.lost += 1;
                     trace.count("tms.reject.lost-to-baseline", 1);
                     None
                 } else {
                     Some(Accepted {
                         schedule,
-                        ii,
-                        c_delay,
-                        p_max,
+                        ii: cand.ii,
+                        c_delay: cand.c_delay,
+                        p_max: cand.p_max,
                         tms_key,
                     })
                 }
             }
         }
-    };
-
-    // Classify one candidate-major index without dispatching it.
-    // Returns which prune (if any) removes it; classification order is
-    // fixed (P_max dedup before cost bound) so the per-kind counters
-    // are deterministic. `None` means the stream ran out of candidates
-    // before `total_indices` — possible only after adaptive coarsening
-    // shrank the grid (`total()` is then an upper bound).
-    let mut pruned_cost = 0usize;
-    let mut pruned_pmax = 0usize;
-    let classify = |stream: &mut CandidateStream,
-                    idx: usize|
-     -> Option<(u32, u32, CostKey, f64, Option<PruneKind>)> {
-        let p_idx = idx % p_count;
-        let &(ii, c_delay, key) = stream.try_get(idx / p_count)?;
-        let p_max = config.p_max_values[p_idx];
-        let prune = if p_max_dup && p_idx != 0 {
-            Some(PruneKind::PMaxDup)
-        } else if cost_bound.is_some_and(|b| model.floor_key(ii) > b) {
-            Some(PruneKind::CostBound)
-        } else {
-            None
-        };
-        Some((ii, c_delay, key, p_max, prune))
-    };
-
-    // Scheduling windows depend only on (DDG, II), not on the C_delay /
-    // P_max of the attempt, so the ASAP/ALAP frames are memoised per II
-    // across the whole search — including across adjacent II rows the
-    // cost shells revisit out of numeric order.
-    let mut frames_cache: HashMap<u32, Option<TimeFrames>> = HashMap::new();
-    // Per-II decision logs for the warm-started serial search (ordered
-    // so a new II row can seed from the nearest smaller one — see
-    // `warm_log_for`), plus the reuse accounting recorded as
-    // `tms.reuse.*` after the search. The wavefront path keeps
-    // per-worker log maps in `par_map_with_slots` slots instead, and
-    // contributes nothing to the reuse counters: which attempts warmed
-    // a worker's slot is scheduling-dependent, and the counters promise
-    // bit-identity across worker counts.
-    let mut warm_logs: BTreeMap<u32, AttemptLog> = BTreeMap::new();
-    let mut warm_attempts = 0u64;
-    let mut steps_replayed = 0u64;
-    let mut steps_executed = 0u64;
-    let mut cross_attempts = 0u64;
-    let mut cross_steps = 0u64;
-    // Adaptive-density accounting (serial search only; all stay zero
-    // when `TmsConfig::adaptive` is off or in the wavefront).
-    let mut sync_rejections = 0u64;
-    let mut coarsened = 0u64;
-
-    // Folded placement profile (`TmsConfig::profile`): merged serially,
-    // in candidate-index order, over exactly the consumed attempts —
-    // the same set every worker count consumes — so the attribution
-    // counters are bit-identical at `--jobs 1` and `--jobs N`.
-    let mut search_prof: Option<PlaceProfile> =
-        config.profile.then(|| PlaceProfile::new(ddg.num_insts()));
-
-    let workers = config.parallelism.workers();
-    if workers <= 1 || total_indices <= 1 {
-        // Serial search: lazily generated candidates, lazily computed
-        // frames, one persistent scratch. Prunes cost no attempt: the
-        // budget / deadline gates sit *after* the prune checks so a
-        // pruned index never trips them.
-        //
-        // Adaptive grid density (`TmsConfig::adaptive`): a sliding
-        // window of dispatched attempts watches for rejection evidence
-        // that the low-`C_delay` region is sync-infeasible — the engine
-        // failing to place anything at all, or a built kernel rejected
-        // for `sync-exceeded` — and, once a window is dominated by it,
-        // latches the stream into a coarser `C_delay` ladder outside a
-        // refinement band near the SMS incumbent's key. Serial-only
-        // (the wavefront search never coarsens), and keyed to the
-        // loop's workload family: DOALL-like loops carry few carried
-        // sync edges, so rejection pressure there is weak evidence and
-        // gets a long window with gentle coarsening, while speculative
-        // DOACROSS loops reject for sync reasons structurally and get a
-        // short window with an aggressive ladder. After a latch the
-        // watcher keeps running; sustained pressure escalates by
-        // re-latching at double the factor (capped) — re-latching
-        // composes, see `CandidateStream::coarsen`.
-        let (adapt_window, adapt_factor) = match tms_ddg::classify(ddg).class {
-            tms_ddg::LoopClass::Doall | tms_ddg::LoopClass::DoallWithInductions => (24u32, 2u32),
-            tms_ddg::LoopClass::DoacrossRegister => (16, 4),
-            tms_ddg::LoopClass::DoacrossSpeculativeMemory => (12, 4),
-        };
-        const ADAPT_FACTOR_CAP: u32 = 8;
-        let adapt_margin = (sms_key.0 / 8).max(4);
-        let mut adapt_seen = 0u32;
-        let mut adapt_sync = 0u32;
-        let mut coarsen_factor = 0u32;
-        let mut idx = 0usize;
-        while idx < total_indices {
-            let Some((ii, c_delay, key, p_max, prune)) = classify(&mut stream, idx) else {
-                break; // coarsened stream exhausted below total()
-            };
-            match prune {
-                Some(PruneKind::PMaxDup) => {
-                    pruned_pmax += 1;
-                    idx += 1;
-                    continue;
-                }
-                Some(PruneKind::CostBound) => {
-                    pruned_cost += 1;
-                    idx += 1;
-                    continue;
-                }
-                None => {}
-            }
-            if attempts >= budget {
-                budget_cut = true;
-                break;
-            }
-            if attempts >= config.max_attempts {
-                break;
-            }
-            if past_deadline() {
-                deadline_cut = true;
-                break;
-            }
-            let frames = frames_cache
-                .entry(ii)
-                .or_insert_with(|| trace.time("tms.phase.frames", || TimeFrames::compute(ddg, ii)))
-                .as_ref();
-            // Profiled searches run every attempt cold: warm replay
-            // skips the window scans and probes being attributed, so a
-            // warm attempt would under-count exactly the hot paths the
-            // profiler exists to expose. Cold and warm attempts build
-            // byte-identical schedules, so only the timings shift.
-            let (outcome, attempt_prof) = if config.warm_start && !config.profile {
-                let log = warm_log_for(&mut warm_logs, ii);
-                // The floor/no-frames short-circuits in `run_attempt`
-                // return without entering the engine; zeroing here keeps
-                // the reuse accounting from re-counting the previous
-                // attempt's figures on such an early exit.
-                log.replayed = 0;
-                log.executed = 0;
-                log.cross_replayed = 0;
-                let outcome = run_attempt(
-                    ii,
-                    c_delay,
-                    key,
-                    p_max,
-                    frames,
-                    &mut scratch,
-                    Some(&mut *log),
-                );
-                if log.replayed > 0 {
-                    warm_attempts += 1;
-                }
-                steps_replayed += log.replayed;
-                steps_executed += log.executed;
-                if log.cross_replayed > 0 {
-                    cross_attempts += 1;
-                }
-                cross_steps += log.cross_replayed;
-                outcome
-            } else {
-                run_attempt(ii, c_delay, key, p_max, frames, &mut scratch, None)
-            };
-            if let (Some(sp), Some(p)) = (search_prof.as_mut(), attempt_prof.as_deref()) {
-                sp.merge(p);
-            }
-            // The fold consumes the outcome, so the adaptive evidence is
-            // taken off it first: an engine that placed nothing at all
-            // (a knob-independent failure persists across the whole
-            // ladder; a knob-dependent one at low `C_delay` is C1
-            // rejection pressure), or a built kernel rejected for
-            // `sync-exceeded`.
-            let sync_infeasible = match &outcome {
-                AttemptOutcome::NoSchedule => true,
-                AttemptOutcome::Rejected(ds) => ds
-                    .iter()
-                    .any(|d| matches!(d, Diagnostic::SyncExceeded { .. })),
-                AttemptOutcome::Built { .. } => false,
-            };
-            resolution = fold(
-                ii,
-                c_delay,
-                p_max,
-                outcome,
-                &mut attempts,
-                &mut rejected,
-                &mut lost,
-                &mut rejects,
-            );
-            if resolution.is_some() {
-                break;
-            }
-            if config.adaptive {
-                if sync_infeasible {
-                    sync_rejections += 1;
-                }
-                if coarsen_factor < ADAPT_FACTOR_CAP {
-                    adapt_seen += 1;
-                    if sync_infeasible {
-                        adapt_sync += 1;
-                    }
-                    if adapt_seen >= adapt_window {
-                        if adapt_sync * 2 > adapt_seen {
-                            let factor = if coarsen_factor == 0 {
-                                adapt_factor
-                            } else {
-                                (coarsen_factor * 2).min(ADAPT_FACTOR_CAP)
-                            };
-                            if factor > coarsen_factor {
-                                stream.coarsen(factor, sms_key, adapt_margin);
-                                coarsen_factor = factor;
-                                coarsened += 1;
-                            }
-                        }
-                        adapt_seen = 0;
-                        adapt_sync = 0;
-                    }
-                }
-            }
-            idx += 1;
-        }
-    } else {
-        // Wavefront search: collect the next chunk of *dispatchable*
-        // cost-ordered attempts (prunes are classified serially while
-        // building the chunk and attributed to the spec that follows
-        // them), run them on the worker pool, then fold the outcomes in
-        // index order. The first resolving attempt wins and everything
-        // after it in the chunk — prunes included — is discarded:
-        // byte-for-byte the serial result, because each attempt is
-        // independent and the fold consumes them in serial order.
-        // Chunks ramp up so a success among the cheap early candidates
-        // wastes little work.
-        let mut idx = 0usize;
-        let mut chunk = workers;
-        // Persistent per-worker state: the usual scheduling scratch plus
-        // a per-II warm-log map, carried across chunks so each worker
-        // warm-starts from the attempts *it* ran previously. The slot
-        // contents are scheduling-dependent (which worker gets which
-        // spec is a race), but every attempt is warm≡cold byte-identical
-        // (`tests/bnb_equivalence.rs`), so the serial fold below cannot
-        // observe the difference.
-        let mut worker_state: Vec<(SchedScratch, BTreeMap<u32, AttemptLog>)> = Vec::new();
-        'wave: while idx < total_indices {
-            if past_deadline() {
-                deadline_cut = true;
-                break;
-            }
-            let room = attempt_cap.saturating_sub(attempts);
-            if room == 0 {
-                // No attempt may be dispatched; scan forward through
-                // prunes to learn whether a dispatchable index remains
-                // (that is what distinguishes a budget cut from a fully
-                // swept range), counting the prunes exactly as the
-                // serial loop would before it hit the gate.
-                while idx < total_indices {
-                    let Some((_, _, _, _, prune)) = classify(&mut stream, idx) else {
-                        idx = total_indices; // stream exhausted: fully swept
-                        break;
-                    };
-                    match prune {
-                        Some(PruneKind::PMaxDup) => pruned_pmax += 1,
-                        Some(PruneKind::CostBound) => pruned_cost += 1,
-                        None => break,
-                    }
-                    idx += 1;
-                }
-                if idx < total_indices && attempts >= budget {
-                    budget_cut = true;
-                }
-                break;
-            }
-            // Build the chunk: up to `chunk` dispatchable specs, each
-            // carrying the prune counts encountered since the previous
-            // spec so the fold can replay them in serial order.
-            let want = chunk.min(room);
-            let mut specs: Vec<AttemptSpec> = Vec::with_capacity(want);
-            let mut tail_cost = 0usize;
-            let mut tail_pmax = 0usize;
-            while idx < total_indices && specs.len() < want {
-                let Some((ii, c_delay, key, p_max, prune)) = classify(&mut stream, idx) else {
-                    idx = total_indices; // stream exhausted: fully swept
-                    break;
-                };
-                match prune {
-                    Some(PruneKind::PMaxDup) => tail_pmax += 1,
-                    Some(PruneKind::CostBound) => tail_cost += 1,
-                    None => {
-                        specs.push(AttemptSpec {
-                            ii,
-                            c_delay,
-                            key,
-                            p_max,
-                            pruned_cost_before: tail_cost,
-                            pruned_pmax_before: tail_pmax,
-                        });
-                        tail_cost = 0;
-                        tail_pmax = 0;
-                    }
-                }
-                idx += 1;
-            }
-            if specs.is_empty() {
-                // The whole remaining range pruned away.
-                pruned_cost += tail_cost;
-                pruned_pmax += tail_pmax;
-                continue;
-            }
-            // Frames for the chunk's IIs are filled serially up front;
-            // workers then share the cache read-only.
-            for spec in &specs {
-                frames_cache.entry(spec.ii).or_insert_with(|| {
-                    trace.time("tms.phase.frames", || TimeFrames::compute(ddg, spec.ii))
-                });
-            }
-            let cache = &frames_cache;
-            let outcomes = par_map_with_slots(
-                config.parallelism,
-                &specs,
-                &mut worker_state,
-                || (SchedScratch::new(), BTreeMap::new()),
-                |(scratch, logs), _, spec| {
-                    let frames = cache.get(&spec.ii).and_then(|f| f.as_ref());
-                    // Profiled attempts run cold here too — see the
-                    // serial loop; per-attempt profiles come back with
-                    // the outcomes and are folded below in spec order.
-                    let log = (config.warm_start && !config.profile).then(|| {
-                        let log = warm_log_for(logs, spec.ii);
-                        log.replayed = 0;
-                        log.executed = 0;
-                        log.cross_replayed = 0;
-                        log
-                    });
-                    run_attempt(
-                        spec.ii,
-                        spec.c_delay,
-                        spec.key,
-                        spec.p_max,
-                        frames,
-                        scratch,
-                        log,
-                    )
-                },
-            );
-            for (spec, (outcome, attempt_prof)) in specs.iter().zip(outcomes) {
-                pruned_cost += spec.pruned_cost_before;
-                pruned_pmax += spec.pruned_pmax_before;
-                if past_deadline() {
-                    deadline_cut = true;
-                    break 'wave;
-                }
-                // Merge before the fold so the resolving attempt's own
-                // profile is included — the same set of attempts the
-                // serial search would have consumed.
-                if let (Some(sp), Some(p)) = (search_prof.as_mut(), attempt_prof.as_deref()) {
-                    sp.merge(p);
-                }
-                resolution = fold(
-                    spec.ii,
-                    spec.c_delay,
-                    spec.p_max,
-                    outcome,
-                    &mut attempts,
-                    &mut rejected,
-                    &mut lost,
-                    &mut rejects,
-                );
-                if resolution.is_some() {
-                    break 'wave;
-                }
-            }
-            // The chunk folded without resolving; the prunes past its
-            // last spec are now committed too.
-            pruned_cost += tail_cost;
-            pruned_pmax += tail_pmax;
-            chunk = (chunk * 2).min(workers * 8);
-        }
-    }
-
-    // Pruning counters are recorded once, serially, after the search:
-    // their values come from the serial-order accounting above, so the
-    // trace is bit-identical at every worker count. `count` always
-    // inserts the key, so the schema holds even at zero.
-    let pruned = pruned_cost + pruned_pmax;
-    trace.count("tms.pruned.cost-bound", pruned_cost as u64);
-    trace.count("tms.pruned.p-max-dup", pruned_pmax as u64);
-    // Warm-start reuse accounting: attempts that replayed ≥ 1 recorded
-    // step, the step totals replayed vs executed cold, and the cross-II
-    // figures (attempts whose guide rebuilt ≥ 1 window from transferred
-    // facts, and those window-rebuild totals). All zero in the
-    // wavefront search — its workers do warm-start, but which attempts
-    // hit a worker's slot is scheduling-dependent, so `tms.reuse.*`
-    // describes only the serial engine's work saved and, like
-    // wall-clock timers, is excluded from the serial≡parallel
-    // metric-identity guarantee.
-    trace.count("tms.reuse.warm-attempts", warm_attempts);
-    trace.count("tms.reuse.cross-ii-attempts", cross_attempts);
-    trace.count("tms.reuse.cross-ii-steps-replayed", cross_steps);
-    trace.count("tms.reuse.steps-replayed", steps_replayed);
-    trace.count("tms.reuse.steps-executed", steps_executed);
-    // Adaptive-density accounting: attempts whose outcome evidenced
-    // sync-delay infeasibility, how many times the coarsening latch
-    // fired (initial latch plus escalating re-latches), and the ladder
-    // rungs the coarsened stream dropped. All zero on the default
-    // (adaptive-off) path.
-    trace.count("tms.adaptive.sync-rejections", sync_rejections);
-    trace.count("tms.adaptive.coarsened", coarsened);
-    trace.count("tms.adaptive.skipped", stream.skipped());
-    trace.record("tms.pruned_per_loop", pruned as u64);
-    trace.record("tms.attempts_per_loop", attempts as u64);
-    // Wall-clock counter track: attempts spent on each loop, sampled
-    // as the scheduler finishes it, so a sweep's hot loops stand out
-    // as spikes in Perfetto.
-    trace.counter_sample_now(
-        "tms.counter",
-        || "tms.attempts_per_loop".to_string(),
-        attempts as u64,
-    );
-    // Placement attribution (`TmsConfig::profile`): recorded here, once,
-    // from the serially folded profile, so the counters and value
-    // histograms land in the deterministic snapshot bit-identically at
-    // every worker count. The per-attempt wall-clock timers were flushed
-    // inside `run_attempt` and live only in the (non-deterministic)
-    // timers section.
-    if let Some(p) = &search_prof {
-        trace.count("tms.place.scans", p.scans);
-        trace.count("tms.place.forced", p.forced);
-        trace.count("tms.place.ejected", p.ejected);
-        trace.count("tms.place.probe.accept-fast", p.probe_accept_fast);
-        trace.count("tms.place.probe.accept-generic", p.probe_accept_generic);
-        trace.count("tms.place.probe.c1-reject-fast", p.probe_c1_fast);
-        trace.count("tms.place.probe.c1-reject-generic", p.probe_c1_generic);
-        trace.count("tms.place.probe.c2-reject-fast", p.probe_c2_fast);
-        trace.count("tms.place.probe.c2-reject-generic", p.probe_c2_generic);
-        trace.count("tms.place.probe.opaque", p.probe_opaque);
-        trace.record_histogram("tms.place.eject_chain_depth", &p.eject_chain_depth);
-        trace.record_histogram("tms.place.forced_per_attempt", &p.forced_per_attempt);
-    }
-    // The search degraded iff its budget (attempts or deadline) cut it
-    // short of a resolution; a full, unresolved sweep of the candidate
-    // space is the ordinary fallback/unschedulable path instead.
-    let exhausted_early = resolution.is_none() && (deadline_cut || budget_cut);
-    match resolution {
-        Some(Accepted {
-            schedule,
-            ii,
-            c_delay,
-            p_max,
-            tms_key,
-        }) => {
-            trace.count("tms.accepted", 1);
-            Ok(TmsResult {
-                schedule,
-                mii: m,
-                ldp,
-                ii,
-                c_delay_threshold: c_delay,
-                p_max,
-                cost_key: tms_key,
-                fell_back_to_sms: false,
-                attempts,
-                rejected_candidates: rejected,
-                rejects,
-                pruned,
-                lost_to_baseline: lost,
-                budget_cut: false,
-                deadline_cut: false,
-                degraded: None,
-                profile: search_prof,
-            })
-        }
-        // An unresolved sweep (every built schedule lost to the SMS
-        // baseline, or nothing built at all) falls back to SMS; a
-        // budget- or deadline-exhausted search falls back here too —
-        // degrading to SMS is an operational answer, erroring would
-        // lose the loop.
-        None if config.allow_sms_fallback || exhausted_early => {
-            let degraded = if exhausted_early {
-                trace.count("tms.degraded_to_sms", 1);
-                Some(Diagnostic::DegradedToSms {
-                    loop_name: ddg.name().to_string(),
-                    attempts,
-                    budget: config.attempt_budget.unwrap_or(0),
-                })
-            } else {
-                None
-            };
-            trace.count("tms.fallback", 1);
-            let ii = sms.schedule.ii();
-            Ok(TmsResult {
-                schedule: sms.schedule,
-                mii: m,
-                ldp,
-                ii,
-                c_delay_threshold: sms_achieved,
-                p_max: 1.0,
-                cost_key: sms_key,
-                fell_back_to_sms: true,
-                attempts,
-                rejected_candidates: rejected,
-                rejects,
-                pruned,
-                lost_to_baseline: lost,
-                budget_cut,
-                deadline_cut,
-                degraded,
-                profile: search_prof,
-            })
-        }
-        None => {
-            trace.count("tms.unschedulable", 1);
-            Err(SchedError::NoScheduleFound {
-                loop_name: ddg.name().to_string(),
-                ii_tried: ii_search_ceiling_from(ddg, m, ldp),
-            })
-        }
     }
 }
 
-/// Result of running one candidate attempt, before the serial-order
-/// fold. `Send` so attempts can come back from worker threads.
+/// Result of running one candidate attempt, before the fold.
 enum AttemptOutcome {
     /// The engine could not place every instruction.
     NoSchedule,
@@ -1675,9 +1467,7 @@ struct Accepted {
 }
 
 /// Which branch-and-bound cut removed a candidate index without
-/// dispatching it. Classification order is fixed — `P_max` dedup is
-/// checked before the cost bound — so the per-kind counters are
-/// deterministic.
+/// dispatching it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PruneKind {
     /// Duplicate attempt: on a loop with no memory-flow dependence the
@@ -1687,18 +1477,6 @@ enum PruneKind {
     /// The candidate's admissible cost floor already exceeds the SMS
     /// incumbent, so any schedule it built would lose to the baseline.
     CostBound,
-}
-
-/// One dispatchable attempt collected for a wavefront chunk, carrying
-/// the prune counts encountered since the previous spec so the fold
-/// can replay the serial accounting exactly.
-struct AttemptSpec {
-    ii: u32,
-    c_delay: u32,
-    key: CostKey,
-    p_max: f64,
-    pruned_cost_before: usize,
-    pruned_pmax_before: usize,
 }
 
 #[cfg(test)]
@@ -1863,37 +1641,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_degradation_is_identical_at_any_worker_count() {
+    fn attempt_budget_caps_dispatched_attempts() {
         let g = motivating_shape();
         for budget in [1usize, 3, 7] {
-            let serial = schedule_tms(
-                &g,
-                &machine(),
-                &model(4),
-                &TmsConfig {
-                    attempt_budget: Some(budget),
-                    ..TmsConfig::default()
-                },
-            )
-            .unwrap();
-            let parallel = schedule_tms(
-                &g,
-                &machine(),
-                &model(4),
-                &TmsConfig {
-                    attempt_budget: Some(budget),
-                    parallelism: Parallelism::Jobs(4),
-                    ..TmsConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(serial.attempts, parallel.attempts, "budget={budget}");
-            assert_eq!(
-                serial.fell_back_to_sms, parallel.fell_back_to_sms,
-                "budget={budget}"
-            );
-            assert_eq!(serial.degraded, parallel.degraded, "budget={budget}");
-            assert_eq!(serial.ii, parallel.ii, "budget={budget}");
+            let cfg = TmsConfig {
+                attempt_budget: Some(budget),
+                ..TmsConfig::default()
+            };
+            let r = schedule_tms(&g, &machine(), &model(4), &cfg).unwrap();
+            assert!(r.attempts <= budget, "budget={budget}");
+            assert_eq!(r.budget_cut, r.degraded.is_some(), "budget={budget}");
+            assert_eq!(r.budget_cut, r.fell_back_to_sms, "budget={budget}");
         }
     }
 

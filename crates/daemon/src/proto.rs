@@ -63,8 +63,6 @@ pub struct Knobs {
     pub dense_candidates: bool,
     /// Extra pipeline stages allowed past the SMS baseline.
     pub max_extra_stages: Option<u32>,
-    /// Counter-driven adaptive grid density.
-    pub adaptive: bool,
 }
 
 impl Knobs {
@@ -72,14 +70,16 @@ impl Knobs {
     /// appears (defaults included) so adding a knob changes the key of
     /// requests that set it and nothing else.
     pub fn canonical(&self) -> String {
+        // The trailing `adaptive=false` is a retired knob's default, kept
+        // verbatim so every still-valid request keeps its old key and
+        // persisted caches stay warm.
         format!(
-            "p_max={:?};ii_max={:?};c_delay_max={:?};dense={};extra_stages={:?};adaptive={}",
+            "p_max={:?};ii_max={:?};c_delay_max={:?};dense={};extra_stages={:?};adaptive=false",
             self.p_max_values,
             self.ii_max,
             self.c_delay_max,
             self.dense_candidates,
             self.max_extra_stages,
-            self.adaptive
         )
     }
 }
@@ -177,7 +177,6 @@ fn parse_knobs(v: &Value) -> Result<Knobs, String> {
             "max_extra_stages" => {
                 k.max_extra_stages = Some(val.as_u64().ok_or_else(|| knob_err(name))? as u32)
             }
-            "adaptive" => k.adaptive = val.as_bool().ok_or_else(|| knob_err(name))?,
             other => return Err(format!("knobs.{other}: unknown knob")),
         }
     }

@@ -208,12 +208,6 @@ impl Engine {
         let model = CostModel::new(arch.costs, req.ncore);
         let mut cfg = TmsConfig {
             dense_candidates: req.knobs.dense_candidates,
-            adaptive: req.knobs.adaptive,
-            // Per-request parallelism stays serial: the daemon's
-            // batching is the parallel axis, and serial per-request
-            // scheduling keeps every result bit-identical however
-            // requests land on workers.
-            parallelism: Parallelism::Serial,
             attempt_budget: self.plan.sched_budget(req.ddg.name()),
             deadline: req.deadline.or(self.default_deadline),
             ..TmsConfig::default()

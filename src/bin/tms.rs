@@ -20,10 +20,6 @@
 //!          --unroll F    unroll before scheduling
 //!          --machine P   per-core machine model from a JSON config
 //!                        (default: the paper's Table 1 machine)
-//!          --adaptive    (schedule) counter-driven adaptive C_delay
-//!                        grid density: coarsen the candidate ladder
-//!                        when rejections are sync-dominated, refine
-//!                        near the SMS incumbent
 //!          --trace PATH  (trace) also write a Chrome trace_event JSON
 //!                        timeline — load it in ui.perfetto.dev
 //!          --stream PATH (trace) bounded-memory sink: spill events to
@@ -47,7 +43,6 @@ struct Opts {
     ncore: u32,
     iters: u64,
     unroll: u32,
-    adaptive: bool,
     trace_out: Option<String>,
     stream_out: Option<String>,
     buffer: usize,
@@ -87,7 +82,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         ncore: 4,
         iters: 1000,
         unroll: 1,
-        adaptive: false,
         trace_out: None,
         stream_out: None,
         buffer: 4096,
@@ -99,7 +93,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--ncore" => o.ncore = flag_num(&mut it, "--ncore")?,
             "--iters" => o.iters = flag_num(&mut it, "--iters")?,
             "--unroll" => o.unroll = flag_num(&mut it, "--unroll")?,
-            "--adaptive" => o.adaptive = true,
             "--trace" => o.trace_out = Some(flag_str(&mut it, "--trace")?.clone()),
             "--stream" => o.stream_out = Some(flag_str(&mut it, "--stream")?.clone()),
             "--buffer" => o.buffer = flag_num(&mut it, "--buffer")?,
@@ -177,11 +170,8 @@ fn cmd_schedule(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String>
     let arch = ArchParams::with_ncore(o.ncore);
     let model = CostModel::new(arch.costs, arch.ncore);
     let sms = schedule_sms(&g, machine).map_err(|e| format!("SMS: {e}"))?;
-    let cfg = TmsConfig {
-        adaptive: o.adaptive,
-        ..TmsConfig::default()
-    };
-    let tms = schedule_tms(&g, machine, &model, &cfg).map_err(|e| format!("TMS: {e}"))?;
+    let tms = schedule_tms(&g, machine, &model, &TmsConfig::default())
+        .map_err(|e| format!("TMS: {e}"))?;
     for (name, sch) in [("SMS", &sms.schedule), ("TMS", &tms.schedule)] {
         let m = LoopMetrics::compute(&g, machine, sch, &arch.costs);
         println!(
@@ -453,6 +443,29 @@ impl ProfRow {
     }
 }
 
+/// `tms profile` flags: `(ncore, top, json_out, metrics_out)`. A
+/// malformed value or an unknown flag is an error, never a default.
+fn parse_profile_opts(
+    args: &[String],
+) -> Result<(u32, usize, Option<String>, Option<String>), String> {
+    let (mut ncore, mut top) = (4u32, 5usize);
+    let (mut json_out, mut metrics_out) = (None, None);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--ncore" => ncore = flag_num(&mut it, "--ncore")?,
+            "--top" => top = flag_num(&mut it, "--top")?,
+            "--json" => json_out = Some(flag_str(&mut it, "--json")?.clone()),
+            "--metrics" => metrics_out = Some(flag_str(&mut it, "--metrics")?.clone()),
+            other => return Err(format!("unknown option {other:?}")),
+        }
+    }
+    if ncore == 0 {
+        return Err("--ncore: must be at least 1".to_string());
+    }
+    Ok((ncore, top, json_out, metrics_out))
+}
+
 /// `tms profile <target> [--ncore N] [--top N] [--json PATH]
 /// [--metrics PATH]` — run the TMS search with the in-engine placement
 /// profiler on and report, per loop, where placement time went
@@ -466,20 +479,10 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let mut ncore = 4u32;
-    let mut top = 5usize;
-    let mut json_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ncore" => ncore = it.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            "--top" => top = it.next().and_then(|v| v.parse().ok()).unwrap_or(5),
-            "--json" => json_out = it.next().cloned(),
-            "--metrics" => metrics_out = it.next().cloned(),
-            _ => {}
-        }
-    }
+    let (ncore, top, json_out, metrics_out) = match parse_profile_opts(&args[1..]) {
+        Ok(opts) => opts,
+        Err(e) => return operational(&format!("profile: {e}")),
+    };
     let Some((family, loops)) = profile_targets(target) else {
         eprintln!(
             "unknown profile target '{target}' — a loop name (see `tms list`) or \

@@ -7,10 +7,10 @@
 //! identical fallback decision. Only the accounting may differ — the
 //! pruned search dispatches fewer attempts and reports what it skipped
 //! in `TmsResult::pruned`. These properties are pinned over the kernel
-//! suite plus a seeded fuzzed population, at one and four workers.
+//! suite plus a seeded fuzzed population.
 
 use tms_core::cost::CostModel;
-use tms_core::par::Parallelism;
+use tms_core::par::{par_map, Parallelism};
 use tms_core::{schedule_tms, TmsConfig, TmsResult};
 use tms_ddg::{Ddg, InstId};
 use tms_machine::{ArchParams, MachineModel};
@@ -24,13 +24,12 @@ fn population() -> Vec<Ddg> {
     pop
 }
 
-fn tms_at(ddg: &Ddg, prune: bool, jobs: Parallelism) -> Option<TmsResult> {
+fn tms_at(ddg: &Ddg, prune: bool) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     let cfg = TmsConfig {
         prune,
-        parallelism: jobs,
         ..TmsConfig::default()
     };
     schedule_tms(ddg, &machine, &model, &cfg).ok()
@@ -59,8 +58,8 @@ fn resolution(ddg: &Ddg, r: &TmsResult) -> impl PartialEq + std::fmt::Debug {
 fn pruned_search_resolves_identically_to_exhaustive() {
     let mut pruned_somewhere = false;
     for ddg in &population() {
-        let bnb = tms_at(ddg, true, Parallelism::Serial);
-        let exh = tms_at(ddg, false, Parallelism::Serial);
+        let bnb = tms_at(ddg, true);
+        let exh = tms_at(ddg, false);
         match (&bnb, &exh) {
             (Some(b), Some(e)) => {
                 assert_eq!(
@@ -116,42 +115,34 @@ fn pruned_search_resolves_identically_to_exhaustive() {
     );
 }
 
+/// The pruned search, fanned out one loop per item, resolves and
+/// accounts identically at one and four workers.
 #[test]
 fn pruned_search_is_identical_at_one_and_four_workers() {
-    for ddg in &population() {
-        let serial = tms_at(ddg, true, Parallelism::Serial);
-        let par = tms_at(ddg, true, Parallelism::Jobs(4));
-        match (&serial, &par) {
-            (Some(s), Some(p)) => {
-                assert_eq!(
-                    resolution(ddg, s),
-                    resolution(ddg, p),
-                    "{}: jobs=4 pruned search diverged",
-                    ddg.name()
-                );
-                // The pruning accounting itself is part of the
-                // determinism contract.
-                assert_eq!(s.attempts, p.attempts, "{}", ddg.name());
-                assert_eq!(s.pruned, p.pruned, "{}", ddg.name());
-                assert_eq!(s.lost_to_baseline, p.lost_to_baseline, "{}", ddg.name());
-                assert_eq!(s.budget_cut, p.budget_cut, "{}", ddg.name());
-            }
-            (None, None) => {}
-            _ => panic!(
-                "{}: schedulability differs between jobs=1 and jobs=4",
-                ddg.name()
-            ),
-        }
+    let pop = population();
+    let run = |jobs| {
+        par_map(jobs, &pop, |_, ddg| {
+            tms_at(ddg, true).map(|r| {
+                (
+                    format!("{:?}", resolution(ddg, &r)),
+                    (r.attempts, r.pruned, r.lost_to_baseline, r.budget_cut),
+                )
+            })
+        })
+    };
+    let serial = run(Parallelism::Serial);
+    let par = run(Parallelism::Jobs(4));
+    for ((ddg, s), p) in pop.iter().zip(&serial).zip(&par) {
+        assert_eq!(s, p, "{}: jobs=4 pruned search diverged", ddg.name());
     }
 }
 
-fn tms_warm(ddg: &Ddg, warm_start: bool, jobs: Parallelism) -> Option<TmsResult> {
+fn tms_warm(ddg: &Ddg, warm_start: bool) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     let cfg = TmsConfig {
         warm_start,
-        parallelism: jobs,
         ..TmsConfig::default()
     };
     schedule_tms(ddg, &machine, &model, &cfg).ok()
@@ -182,30 +173,26 @@ fn full_fingerprint(ddg: &Ddg, r: &TmsResult) -> impl PartialEq + std::fmt::Debu
 /// Warm-started attempts — same-II decision-log replay *and* the
 /// cross-II guide that seeds a new II row from the nearest smaller one
 /// — must be byte-identical to the cold path: schedules, accounting,
-/// and rejection records alike, at one and four workers. jobs=4
-/// exercises the warm *wavefront* (per-worker log slots carried across
-/// chunks); the serial fold must not be able to tell.
+/// and rejection records alike.
 #[test]
 fn warm_start_is_byte_identical_to_cold() {
     for ddg in &population() {
-        for jobs in [Parallelism::Serial, Parallelism::Jobs(4)] {
-            let warm = tms_warm(ddg, true, jobs);
-            let cold = tms_warm(ddg, false, jobs);
-            match (&warm, &cold) {
-                (Some(w), Some(c)) => {
-                    assert_eq!(
-                        full_fingerprint(ddg, w),
-                        full_fingerprint(ddg, c),
-                        "{}: warm start diverged from cold at {jobs:?}",
-                        ddg.name()
-                    );
-                }
-                (None, None) => {}
-                _ => panic!(
-                    "{}: schedulability differs between warm and cold",
+        let warm = tms_warm(ddg, true);
+        let cold = tms_warm(ddg, false);
+        match (&warm, &cold) {
+            (Some(w), Some(c)) => {
+                assert_eq!(
+                    full_fingerprint(ddg, w),
+                    full_fingerprint(ddg, c),
+                    "{}: warm start diverged from cold",
                     ddg.name()
-                ),
+                );
             }
+            (None, None) => {}
+            _ => panic!(
+                "{}: schedulability differs between warm and cold",
+                ddg.name()
+            ),
         }
     }
 }
@@ -309,53 +296,10 @@ fn cross_ii_guide_replays_steps_somewhere() {
     );
 }
 
-/// Adaptive grid density is allowed to visit fewer candidates (its
-/// whole point), but it must stay deterministic, legal, and agree on
-/// schedulability with the exhaustive-grid default.
-#[test]
-fn adaptive_search_stays_legal_and_deterministic() {
-    let machine = MachineModel::icpp2008();
-    let arch = ArchParams::icpp2008();
-    let model = CostModel::new(arch.costs, arch.ncore);
-    for ddg in &population() {
-        let run = || {
-            let cfg = TmsConfig {
-                adaptive: true,
-                ..TmsConfig::default()
-            };
-            schedule_tms(ddg, &machine, &model, &cfg).ok()
-        };
-        let (a, b) = (run(), run());
-        match (&a, &b) {
-            (Some(x), Some(y)) => {
-                assert_eq!(
-                    full_fingerprint(ddg, x),
-                    full_fingerprint(ddg, y),
-                    "{}: adaptive search is nondeterministic",
-                    ddg.name()
-                );
-                assert!(
-                    x.schedule.check_legal(ddg).is_none(),
-                    "{}: adaptive schedule is illegal",
-                    ddg.name()
-                );
-            }
-            (None, None) => {}
-            _ => panic!("{}: adaptive search is nondeterministic", ddg.name()),
-        }
-        assert_eq!(
-            a.is_some(),
-            tms_at(ddg, true, Parallelism::Serial).is_some(),
-            "{}: adaptive changed schedulability",
-            ddg.name()
-        );
-    }
-}
-
 /// Degradation budgets compose with pruning: the budget caps
 /// *dispatched* attempts, so a pruned search under a tight budget gets
 /// further through the candidate space than the exhaustive one — but
-/// both report the cut deterministically at every worker count.
+/// both report the cut deterministically, run after run.
 #[test]
 fn budgets_compose_with_pruning_deterministically() {
     let machine = MachineModel::icpp2008();
@@ -363,16 +307,13 @@ fn budgets_compose_with_pruning_deterministically() {
     let model = CostModel::new(arch.costs, arch.ncore);
     for ddg in population().iter().take(16) {
         for budget in [1usize, 4, 9] {
-            let mut results = Vec::new();
-            for jobs in [Parallelism::Serial, Parallelism::Jobs(4)] {
+            let run = || {
                 let cfg = TmsConfig {
                     prune: true,
                     attempt_budget: Some(budget),
-                    parallelism: jobs,
                     ..TmsConfig::default()
                 };
-                let r = schedule_tms(ddg, &machine, &model, &cfg).ok();
-                results.push(r.map(|r| {
+                schedule_tms(ddg, &machine, &model, &cfg).ok().map(|r| {
                     (
                         resolution(ddg, &r),
                         r.attempts,
@@ -380,16 +321,18 @@ fn budgets_compose_with_pruning_deterministically() {
                         r.budget_cut,
                         r.degraded.is_some(),
                     )
-                }));
-            }
+                })
+            };
+            let first = run();
             assert_eq!(
-                results[0],
-                results[1],
-                "{}: budget={budget} diverged across worker counts",
+                first,
+                run(),
+                "{}: budget={budget} diverged between runs",
                 ddg.name()
             );
-            if let Some((_, attempts, _, _, _)) = &results[0] {
+            if let Some((_, attempts, _, budget_cut, degraded)) = &first {
                 assert!(*attempts <= budget, "{}: budget overrun", ddg.name());
+                assert_eq!(budget_cut, degraded, "{}: unreported cut", ddg.name());
             }
         }
     }

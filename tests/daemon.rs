@@ -91,7 +91,6 @@ fn every_keyed_field_perturbs_the_cache_key() {
         r#""c_delay_max":9"#,
         r#""dense_candidates":true"#,
         r#""max_extra_stages":3"#,
-        r#""adaptive":true"#,
     ] {
         keys.push(
             parse_schedule(&format!(
@@ -251,6 +250,49 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
 
     let v = ask(r#"{"id":10,"verb":"shutdown"}"#);
     assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
+}
+
+/// The retired `adaptive` knob is an unknown knob: a request that sets
+/// it gets a structured error reply naming it, never a silent default.
+#[test]
+fn retired_adaptive_knob_gets_an_error_reply() {
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        serve(&DaemonConfig::default(), Trace::disabled(), move |addr| {
+            let _ = tx.send(addr);
+        })
+    });
+    let addr = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("daemon ready");
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let ddg_json = serde_json::to_string(&figure1()).unwrap();
+    for line in [
+        format!(r#"{{"id":5,"ddg":{ddg_json},"ncore":4,"knobs":{{"adaptive":true}}}}"#),
+        r#"{"id":6,"verb":"shutdown"}"#.to_string(),
+    ] {
+        writeln!(writer, "{line}").unwrap();
+    }
+    writer.flush().unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let v: Value = serde_json::from_str(reply.trim()).expect("reply must be JSON");
+    assert_eq!(v.get("id").and_then(Value::as_u64), Some(5));
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+    let err = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(
+        err.contains("knobs.adaptive: unknown knob"),
+        "error reply must name the knob: {reply}"
+    );
     server
         .join()
         .expect("daemon thread must not panic")

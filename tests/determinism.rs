@@ -1,13 +1,14 @@
-//! Determinism of the parallel search paths.
+//! Determinism of the per-loop parallel paths.
 //!
-//! The wavefront candidate search inside `schedule_tms` and the
-//! per-loop fan-out inside the verification sweep are contracted to be
-//! **bit-identical** to their serial counterparts at every worker
-//! count. These tests pin that contract over the kernel suite plus a
-//! seeded fuzzed population, and over the whole `tms-verify` report.
+//! The TMS search itself is serial; parallelism lives one level up, in
+//! the per-loop fan-out of sweeps and benches (`tms_core::par::par_map`).
+//! Scheduling a population at any worker count is contracted to be
+//! **bit-identical** to scheduling it serially. These tests pin that
+//! contract over the kernel suite plus a seeded fuzzed population, and
+//! over the whole `tms-verify` report.
 
 use tms_core::cost::CostModel;
-use tms_core::par::Parallelism;
+use tms_core::par::{par_map, Parallelism};
 use tms_core::{schedule_tms, TmsConfig, TmsResult};
 use tms_ddg::{Ddg, InstId};
 use tms_machine::{ArchParams, MachineModel};
@@ -22,15 +23,11 @@ fn population() -> Vec<Ddg> {
     pop
 }
 
-fn tms_at(ddg: &Ddg, jobs: Parallelism) -> Option<TmsResult> {
+fn tms_with(ddg: &Ddg, cfg: &TmsConfig) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
-    let cfg = TmsConfig {
-        parallelism: jobs,
-        ..TmsConfig::default()
-    };
-    schedule_tms(ddg, &machine, &model, &cfg).ok()
+    schedule_tms(ddg, &machine, &model, cfg).ok()
 }
 
 /// Everything the search decided, including its accounting and the
@@ -52,78 +49,58 @@ fn fingerprint(ddg: &Ddg, r: &TmsResult) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// Fingerprints of every loop of `pop`, scheduled one loop per item
+/// on `jobs` workers.
+fn fingerprints_at(
+    pop: &[Ddg],
+    jobs: Parallelism,
+) -> Vec<Option<impl PartialEq + std::fmt::Debug>> {
+    par_map(jobs, pop, |_, ddg| {
+        tms_with(ddg, &TmsConfig::default()).map(|r| fingerprint(ddg, &r))
+    })
+}
+
 #[test]
 fn tms_search_is_identical_at_one_and_four_workers() {
-    for ddg in &population() {
-        let serial = tms_at(ddg, Parallelism::Serial);
-        let par = tms_at(ddg, Parallelism::Jobs(4));
-        match (&serial, &par) {
-            (Some(s), Some(p)) => {
-                assert_eq!(
-                    fingerprint(ddg, s),
-                    fingerprint(ddg, p),
-                    "{}: jobs=4 diverged from jobs=1",
-                    ddg.name()
-                );
-            }
-            (None, None) => {}
-            _ => panic!(
-                "{}: schedulability differs between jobs=1 and jobs=4",
-                ddg.name()
-            ),
-        }
+    let pop = population();
+    let serial = fingerprints_at(&pop, Parallelism::Serial);
+    let par = fingerprints_at(&pop, Parallelism::Jobs(4));
+    for ((ddg, s), p) in pop.iter().zip(&serial).zip(&par) {
+        assert_eq!(s, p, "{}: jobs=4 diverged from jobs=1", ddg.name());
     }
 }
 
 #[test]
 fn tms_search_is_identical_at_awkward_worker_counts() {
-    // 3 workers never divides the candidate chunks evenly; 16 exceeds
-    // every chunk at its initial size.
-    for ddg in population().iter().take(12) {
-        let baseline = tms_at(ddg, Parallelism::Serial).map(|r| fingerprint(ddg, &r));
-        for jobs in [3, 16] {
-            let got = tms_at(ddg, Parallelism::Jobs(jobs)).map(|r| fingerprint(ddg, &r));
-            assert_eq!(baseline, got, "{}: jobs={jobs} diverged", ddg.name());
+    // 3 workers never divide the 12 loops' costs evenly; 16 exceeds
+    // the item count, so the pool is capped at one worker per loop.
+    let pop: Vec<Ddg> = population().into_iter().take(12).collect();
+    let baseline = fingerprints_at(&pop, Parallelism::Serial);
+    for jobs in [3, 16] {
+        let got = fingerprints_at(&pop, Parallelism::Jobs(jobs));
+        for ((ddg, b), g) in pop.iter().zip(&baseline).zip(&got) {
+            assert_eq!(b, g, "{}: jobs={jobs} diverged", ddg.name());
         }
     }
 }
 
 /// The warm-start attempt cache (on by default) must leave every
-/// fingerprint unchanged: same schedules, same accounting, at every
-/// worker count, with and without the cache.
+/// fingerprint unchanged: same schedules, same accounting, with and
+/// without the cache.
 #[test]
 fn warm_cache_leaves_fingerprints_unchanged() {
-    let machine = MachineModel::icpp2008();
-    let arch = ArchParams::icpp2008();
-    let model = CostModel::new(arch.costs, arch.ncore);
     for ddg in &population() {
-        let mut fps = Vec::new();
-        for (warm_start, jobs) in [
-            (true, Parallelism::Serial),
-            (false, Parallelism::Serial),
-            (true, Parallelism::Jobs(4)),
-        ] {
+        let [warm, cold] = [true, false].map(|warm_start| {
             let cfg = TmsConfig {
                 warm_start,
-                parallelism: jobs,
                 ..TmsConfig::default()
             };
-            fps.push(
-                schedule_tms(ddg, &machine, &model, &cfg)
-                    .ok()
-                    .map(|r| fingerprint(ddg, &r)),
-            );
-        }
+            tms_with(ddg, &cfg).map(|r| fingerprint(ddg, &r))
+        });
         assert_eq!(
-            fps[0],
-            fps[1],
-            "{}: warm cache changed the serial fingerprint",
-            ddg.name()
-        );
-        assert_eq!(
-            fps[0],
-            fps[2],
-            "{}: warm serial diverged from cold wavefront",
+            warm,
+            cold,
+            "{}: warm cache changed the fingerprint",
             ddg.name()
         );
     }

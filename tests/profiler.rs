@@ -2,14 +2,15 @@
 //!
 //! `TmsConfig::profile` turns on per-node attribution inside the
 //! placement loop. The attribution (counters, per-node tallies, value
-//! histograms) is folded serially over the consumed attempts, so it is
-//! contracted to be **bit-identical** at every worker count — only the
-//! `*_ns` wall-clock fields and the `tms.place.*` timers may differ
-//! between runs. These tests pin that contract, and that the profiler
-//! is absent (no metrics, no `TmsResult::profile`) when off.
+//! histograms) is folded over the dispatched attempts in candidate
+//! order, so it is contracted to be **bit-identical** however a sweep
+//! fans its loops out across workers — only the `*_ns` wall-clock
+//! fields and the `tms.place.*` timers may differ between runs. These
+//! tests pin that contract, and that the profiler is absent (no
+//! metrics, no `TmsResult::profile`) when off.
 
 use tms_core::cost::CostModel;
-use tms_core::par::Parallelism;
+use tms_core::par::{par_map, Parallelism};
 use tms_core::{schedule_tms_traced, PlaceProfile, TmsConfig, TmsResult};
 use tms_ddg::Ddg;
 use tms_machine::{ArchParams, MachineModel};
@@ -25,12 +26,11 @@ fn population() -> Vec<Ddg> {
     pop
 }
 
-fn tms_profiled(ddg: &Ddg, jobs: Parallelism, trace: &Trace) -> Option<TmsResult> {
+fn tms_profiled(ddg: &Ddg, trace: &Trace) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     let cfg = TmsConfig {
-        parallelism: jobs,
         profile: true,
         ..TmsConfig::default()
     };
@@ -64,39 +64,38 @@ fn attribution(p: &PlaceProfile) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// A profiled sweep, one loop per item on one or four workers into a
+/// shared trace, yields the same per-loop attribution and the same
+/// deterministic metrics slice.
 #[test]
 fn profile_attribution_is_identical_at_one_and_four_workers() {
-    for ddg in &population() {
-        let serial_trace = Trace::enabled();
-        let serial = tms_profiled(ddg, Parallelism::Serial, &serial_trace);
-        let par_trace = Trace::enabled();
-        let par = tms_profiled(ddg, Parallelism::Jobs(4), &par_trace);
-        match (&serial, &par) {
-            (Some(s), Some(p)) => {
-                let sp = s.profile.as_ref().expect("profile on -> Some");
-                let pp = p.profile.as_ref().expect("profile on -> Some");
-                assert_eq!(
-                    attribution(sp),
-                    attribution(pp),
-                    "{}: jobs=4 attribution diverged from jobs=1",
-                    ddg.name()
-                );
-            }
-            (None, None) => {}
-            _ => panic!(
-                "{}: schedulability diverged across worker counts",
-                ddg.name()
-            ),
-        }
-        // The deterministic metrics slice (counters + value histograms;
-        // wall-clock timers live outside the snapshot) must agree too.
+    let pop = population();
+    let run = |jobs| {
+        let trace = Trace::enabled();
+        let attrs = par_map(jobs, &pop, |_, ddg| {
+            tms_profiled(ddg, &trace).map(|r| {
+                let p = r.profile.as_ref().expect("profile on -> Some");
+                format!("{:?}", attribution(p))
+            })
+        });
+        // Counters + value histograms; wall-clock timers live outside
+        // the snapshot.
+        (attrs, trace.metrics())
+    };
+    let (serial, serial_snap) = run(Parallelism::Serial);
+    let (par, par_snap) = run(Parallelism::Jobs(4));
+    for ((ddg, s), p) in pop.iter().zip(&serial).zip(&par) {
         assert_eq!(
-            serial_trace.metrics(),
-            par_trace.metrics(),
-            "{}: jobs=4 metrics snapshot diverged from jobs=1",
+            s,
+            p,
+            "{}: jobs=4 attribution diverged from jobs=1",
             ddg.name()
         );
     }
+    assert_eq!(
+        serial_snap, par_snap,
+        "jobs=4 metrics snapshot diverged from jobs=1"
+    );
 }
 
 #[test]
@@ -132,7 +131,7 @@ fn profile_on_populates_profile_and_schema_complete_metrics() {
     let trace = Trace::enabled();
     let mut scheduled = 0usize;
     for ddg in &population() {
-        let Some(r) = tms_profiled(ddg, Parallelism::Serial, &trace) else {
+        let Some(r) = tms_profiled(ddg, &trace) else {
             continue;
         };
         scheduled += 1;
