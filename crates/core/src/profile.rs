@@ -166,7 +166,7 @@ impl PlaceProfile {
     pub(crate) fn classify_probes(&mut self, probes: &[Probe], fast: bool) {
         for p in probes {
             let slot = match p {
-                Probe::Accept { .. } => {
+                Probe::Accept { .. } | Probe::AcceptSpeculated { .. } => {
                     if fast {
                         &mut self.probe_accept_fast
                     } else {
@@ -305,13 +305,7 @@ mod tests {
         a.note_scan(InstId(1));
         a.note_ejected(InstId(2));
         a.note_force(2);
-        a.classify_probes(
-            &[Probe::Accept {
-                sync_max: 1,
-                misspec: None,
-            }],
-            true,
-        );
+        a.classify_probes(&[Probe::Accept { sync_max: 1 }], true);
         let mut b = PlaceProfile::new(3);
         b.note_scan(InstId(0));
         b.classify_probes(&[Probe::C1Reject { sync: 9 }], false);

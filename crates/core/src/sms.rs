@@ -12,7 +12,7 @@
 use crate::order::sms_order;
 use crate::profile::PlaceProfile;
 use crate::schedule::{PartialSchedule, Schedule};
-use crate::warm::{AttemptLog, FailKind, Probe, Step, StepAction, WinFacts};
+use crate::warm::{AttemptLog, FailKind, Probe, Span, Step, StepAction, WinFacts};
 use crate::window::{force_floor_with, window_from_facts, window_into, WindowScratch};
 use std::time::Instant;
 use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
@@ -37,6 +37,7 @@ pub struct SchedScratch {
     win: WindowScratch,
     occupants: Vec<InstId>,
     ejected: Vec<InstId>,
+    probes: Vec<Probe>,
 }
 
 impl SchedScratch {
@@ -463,24 +464,26 @@ fn schedule_all(
     // --- Cross-II guide adoption: a log recorded at a *smaller* II is
     // not probe-replayable (its facts are functions of rows mod II),
     // but its per-step window facts transfer upward (see
-    // `crate::warm`). Demote the steps to a passive guide for the cold
-    // loop below; the log itself re-records from scratch at this II.
-    // A log from a *larger* II is discarded — bounds transfer in one
-    // direction only.
-    let mut guide: Vec<Step> = Vec::new();
+    // `crate::warm`). Demote the steps (and the ejections their actions
+    // reference) to a passive guide for the cold loop below; the log
+    // itself re-records from scratch at this II. A log from a *larger*
+    // II is discarded — bounds transfer in one direction only.
+    let mut guide = AttemptLog::default();
     if let Some(log) = log.as_deref_mut() {
-        log.cross_replayed = 0;
         if log.ii != 0 && log.ii != ii {
-            let steps = std::mem::take(&mut log.steps);
-            if log.ii < ii {
-                guide = steps;
+            let old = std::mem::take(log);
+            if old.ii < ii {
+                guide = AttemptLog {
+                    probes: Vec::new(),
+                    ..old
+                };
             }
-            log.complete = false;
         }
+        log.cross_replayed = 0;
         log.ii = ii;
     }
     let mut guide_pos = 0usize;
-    let mut guide_live = !guide.is_empty();
+    let mut guide_live = !guide.steps.is_empty();
 
     // --- Warm replay: apply the log's prefix while its recorded
     // verdicts still hold under the current policy knobs. A validated
@@ -495,11 +498,14 @@ fn schedule_all(
         log.executed = 0;
         let mut upto = 0usize;
         'replay: for step in &log.steps {
-            if !step.probes.iter().all(|p| policy.probe_holds(p)) {
+            if !log.probes[step.probes.range()]
+                .iter()
+                .all(|p| policy.probe_holds(p))
+            {
                 break 'replay;
             }
-            match &step.action {
-                StepAction::Place { v, cycle } => ps.place(ddg, *v, *cycle),
+            match step.action {
+                StepAction::Place { v, cycle } => ps.place(ddg, v, cycle),
                 StepAction::Force {
                     v,
                     cycle,
@@ -509,11 +515,11 @@ fn schedule_all(
                     debug_assert!(eject_budget > 0, "replay exceeded the cold budget");
                     eject_budget -= 1;
                     scratch.earliest[v.index()] = cycle + 1;
-                    for &n in eject_before {
+                    for &n in &log.ejects[eject_before.range()] {
                         ps.remove(ddg, n);
                     }
-                    ps.place(ddg, *v, *cycle);
-                    for &n in eject_after {
+                    ps.place(ddg, v, cycle);
+                    for &n in &log.ejects[eject_after.range()] {
                         ps.remove(ddg, n);
                     }
                 }
@@ -528,14 +534,13 @@ fn schedule_all(
             upto += 1;
         }
         log.replayed = upto as u64;
-        if upto < log.steps.len() {
-            log.steps.truncate(upto);
-            log.complete = false;
-        }
+        log.truncate(upto);
     }
     let profiling = prof.is_some();
     // The profiler reuses the warm-start probe recording to classify
-    // verdicts, so either consumer turns it on.
+    // verdicts, so either consumer turns it on. A logged attempt
+    // records probes and ejections straight into the log's arenas; an
+    // unlogged one uses the scratch buffers, cleared per step.
     let recording = log.is_some() || profiling;
 
     // Next-unplaced cursor: nodes before it are placed, so the common
@@ -553,7 +558,7 @@ fn schedule_all(
         // (the action comparison below will retire the guide); compute
         // cold. The engine's hottest work is exactly these two sweeps,
         // which is what makes the cross-II carryover pay.
-        let guide_facts = match guide.get(guide_pos) {
+        let guide_facts = match guide.steps.get(guide_pos) {
             _ if !guide_live => None,
             Some(gs) if gs.win.v == v && gs.win.carried_free => Some(gs.win),
             Some(_) => None,
@@ -567,8 +572,8 @@ fn schedule_all(
             Some(f) => {
                 window_from_facts(
                     f.kind,
-                    f.es,
-                    f.ls,
+                    f.es(),
+                    f.ls(),
                     ii,
                     frames.asap[v.index()],
                     &mut scratch.win.cycles,
@@ -590,31 +595,34 @@ fn schedule_all(
             }
             None => {
                 let kind = window_into(ddg, ps, frames, v, &mut scratch.win);
-                WinFacts {
+                WinFacts::new(
                     v,
                     kind,
-                    es: scratch.win.last_es,
-                    ls: scratch.win.last_ls,
-                    carried_free: scratch.win.carried_free,
-                }
+                    scratch.win.last_es,
+                    scratch.win.last_ls,
+                    scratch.win.carried_free,
+                )
             }
         };
         if let Some(p) = prof.as_deref_mut() {
             p.scan_ns += t_scan.unwrap().elapsed().as_nanos() as u64;
             p.note_scan(v);
         }
-        let mut probes: Vec<Probe> = Vec::new();
+        scratch.probes.clear();
+        scratch.ejected.clear();
+        let probe_start = log.as_deref().map_or(0, |l| l.probes.len());
         let t_probe = profiling.then(Instant::now);
         let slot = policy.scan_window(
             ddg,
             ps,
             v,
             &scratch.win.cycles,
-            recording.then_some(&mut probes),
+            recording.then(|| arena(log.as_deref_mut(), |l| &mut l.probes, &mut scratch.probes)),
         );
         if let Some(p) = prof.as_deref_mut() {
             p.probe_ns += t_probe.unwrap().elapsed().as_nanos() as u64;
-            p.classify_probes(&probes, policy.scan_was_fast());
+            let probes = log.as_deref().map_or(&scratch.probes, |l| &l.probes);
+            p.classify_probes(&probes[probe_start..], policy.scan_was_fast());
         }
         match slot {
             Some(c) => {
@@ -626,10 +634,10 @@ fn schedule_all(
                 cursor += 1;
                 if let Some(log) = log.as_deref_mut() {
                     let action = StepAction::Place { v, cycle: c };
-                    advance_guide(&guide, &mut guide_pos, &mut guide_live, &action);
+                    advance_guide(&guide, &mut guide_pos, &mut guide_live, action, log);
                     log.executed += 1;
                     log.steps.push(Step {
-                        probes,
+                        probes: Span::to_end(probe_start, &log.probes),
                         action,
                         win: facts,
                     });
@@ -637,7 +645,7 @@ fn schedule_all(
             }
             None => {
                 if eject_budget == 0 {
-                    record_fail(log, probes, facts, FailKind::EjectBudget);
+                    record_fail(log, probe_start, facts, FailKind::EjectBudget);
                     return false;
                 }
                 eject_budget -= 1;
@@ -661,7 +669,7 @@ fn schedule_all(
                         // kinds emit exactly II candidates), so the
                         // transferred early start *is* what the forced
                         // floor's lower sweep would recompute.
-                        let floor = facts.es.expect("empty window implies a bounded node");
+                        let floor = facts.es().expect("empty window implies a bounded node");
                         #[cfg(debug_assertions)]
                         debug_assert_eq!(
                             floor,
@@ -677,21 +685,27 @@ fn schedule_all(
                     // The forced floor's lower sweep is window work.
                     p.scan_ns += t_floor.unwrap().elapsed().as_nanos() as u64;
                 }
-                let probes_pre_force = probes.len();
+                let probes_pre_force = log.as_deref().map_or(&scratch.probes, |l| &l.probes).len();
                 let t_force = profiling.then(Instant::now);
-                let forced =
-                    policy.scan_forced(ddg, ps, v, floor, recording.then_some(&mut probes));
+                let forced = policy.scan_forced(
+                    ddg,
+                    ps,
+                    v,
+                    floor,
+                    recording
+                        .then(|| arena(log.as_deref_mut(), |l| &mut l.probes, &mut scratch.probes)),
+                );
                 if let Some(p) = prof.as_deref_mut() {
                     p.force_ns += t_force.unwrap().elapsed().as_nanos() as u64;
+                    let probes = log.as_deref().map_or(&scratch.probes, |l| &l.probes);
                     p.classify_probes(&probes[probes_pre_force..], policy.scan_was_fast());
                 }
                 let Some(c) = forced else {
-                    record_fail(log, probes, facts, FailKind::NoForcedSlot);
+                    record_fail(log, probe_start, facts, FailKind::NoForcedSlot);
                     return false;
                 };
                 scratch.earliest[v.index()] = c + 1;
-                let mut eject_before = std::mem::take(&mut scratch.ejected);
-                eject_before.clear();
+                let eject_start = log.as_deref().map_or(0, |l| l.ejects.len());
                 let t_eject = profiling.then(Instant::now);
                 eject_row_conflicts(
                     ddg,
@@ -700,19 +714,24 @@ fn schedule_all(
                     c,
                     pos,
                     &mut scratch.occupants,
-                    &mut eject_before,
+                    arena(log.as_deref_mut(), |l| &mut l.ejects, &mut scratch.ejected),
                 );
+                let ejects = log.as_deref().map_or(&scratch.ejected, |l| &l.ejects);
+                let eject_before = Span::to_end(eject_start, ejects);
                 if let Some(p) = prof.as_deref_mut() {
                     p.eject_ns += t_eject.unwrap().elapsed().as_nanos() as u64;
-                    for &n in &eject_before {
+                    for &n in &ejects[eject_before.range()] {
                         p.note_ejected(n);
                     }
                 }
-                let chain_before = eject_before.len() as u64;
                 let t_fit = profiling.then(Instant::now);
                 if !ps.fits(ddg, v, c) {
-                    scratch.ejected = eject_before;
-                    record_fail(log, probes, facts, FailKind::ForcedUnfit);
+                    // The failure step references no ejections: keep
+                    // the arena holding exactly what steps reference.
+                    if let Some(log) = log.as_deref_mut() {
+                        log.ejects.truncate(eject_start);
+                    }
+                    record_fail(log, probe_start, facts, FailKind::ForcedUnfit);
                     return false;
                 }
                 ps.place(ddg, v, c);
@@ -720,43 +739,37 @@ fn schedule_all(
                     p.fit_ns += t_fit.unwrap().elapsed().as_nanos() as u64;
                 }
                 let t_eject2 = profiling.then(Instant::now);
-                if let Some(log) = log.as_deref_mut() {
-                    let mut eject_after = Vec::new();
-                    eject_violated_neighbours(ddg, ps, v, ii, &mut eject_after);
-                    if let Some(p) = prof.as_deref_mut() {
-                        p.eject_ns += t_eject2.unwrap().elapsed().as_nanos() as u64;
-                        for &n in &eject_after {
-                            p.note_ejected(n);
-                        }
-                        p.note_force(chain_before + eject_after.len() as u64);
+                eject_violated_neighbours(
+                    ddg,
+                    ps,
+                    v,
+                    ii,
+                    arena(log.as_deref_mut(), |l| &mut l.ejects, &mut scratch.ejected),
+                );
+                let ejects = log.as_deref().map_or(&scratch.ejected, |l| &l.ejects);
+                let eject_after = Span::to_end(eject_before.end as usize, ejects);
+                if let Some(p) = prof.as_deref_mut() {
+                    p.eject_ns += t_eject2.unwrap().elapsed().as_nanos() as u64;
+                    for &n in &ejects[eject_after.range()] {
+                        p.note_ejected(n);
                     }
+                    // The two eviction lists are adjacent in the arena.
+                    p.note_force((eject_after.end - eject_before.start) as u64);
+                }
+                if let Some(log) = log.as_deref_mut() {
                     let action = StepAction::Force {
                         v,
                         cycle: c,
                         eject_before,
                         eject_after,
                     };
-                    advance_guide(&guide, &mut guide_pos, &mut guide_live, &action);
+                    advance_guide(&guide, &mut guide_pos, &mut guide_live, action, log);
                     log.executed += 1;
                     log.steps.push(Step {
-                        probes,
+                        probes: Span::to_end(probe_start, &log.probes),
                         action,
                         win: facts,
                     });
-                } else {
-                    // Reuse the scratch buffer for the second eviction
-                    // list too — nothing reads it when not recording a
-                    // log (the profiler accounts for it right here).
-                    eject_before.clear();
-                    eject_violated_neighbours(ddg, ps, v, ii, &mut eject_before);
-                    if let Some(p) = prof.as_deref_mut() {
-                        p.eject_ns += t_eject2.unwrap().elapsed().as_nanos() as u64;
-                        for &n in &eject_before {
-                            p.note_ejected(n);
-                        }
-                        p.note_force(chain_before + eject_before.len() as u64);
-                    }
-                    scratch.ejected = eject_before;
                 }
                 cursor = 0;
             }
@@ -768,12 +781,26 @@ fn schedule_all(
     true
 }
 
-/// Terminal failure step of a recorded attempt.
-fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, win: WinFacts, kind: FailKind) {
+/// The vector a step records into: the log's arena when logging,
+/// otherwise the scratch buffer.
+fn arena<'a, T>(
+    log: Option<&'a mut AttemptLog>,
+    field: impl FnOnce(&'a mut AttemptLog) -> &'a mut Vec<T>,
+    spare: &'a mut Vec<T>,
+) -> &'a mut Vec<T> {
+    match log {
+        Some(log) => field(log),
+        None => spare,
+    }
+}
+
+/// Terminal failure step of a recorded attempt; its probes are the
+/// arena's entries from `probe_start` on.
+fn record_fail(log: Option<&mut AttemptLog>, probe_start: usize, win: WinFacts, kind: FailKind) {
     if let Some(log) = log {
         log.executed += 1;
         log.steps.push(Step {
-            probes,
+            probes: Span::to_end(probe_start, &log.probes),
             action: StepAction::Fail(kind),
             win,
         });
@@ -785,14 +812,47 @@ fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, win: WinFacts, 
 /// the first divergence. Action equality — eviction sets included — is
 /// what inductively pins the engine's placed state to the recorded
 /// run's, which is the soundness condition for consuming the guide's
-/// window facts on the *next* step.
-fn advance_guide(guide: &[Step], pos: &mut usize, live: &mut bool, action: &StepAction) {
+/// window facts on the *next* step. `log` holds the executed action's
+/// ejections.
+fn advance_guide(
+    guide: &AttemptLog,
+    pos: &mut usize,
+    live: &mut bool,
+    action: StepAction,
+    log: &AttemptLog,
+) {
     if !*live {
         return;
     }
-    match guide.get(*pos) {
-        Some(gs) if gs.action == *action => *pos += 1,
-        _ => *live = false,
+    let same = guide
+        .steps
+        .get(*pos)
+        .is_some_and(|gs| match (gs.action, action) {
+            (
+                StepAction::Force {
+                    v,
+                    cycle,
+                    eject_before,
+                    eject_after,
+                },
+                StepAction::Force {
+                    v: v2,
+                    cycle: cycle2,
+                    eject_before: before2,
+                    eject_after: after2,
+                },
+            ) => {
+                v == v2
+                    && cycle == cycle2
+                    && guide.ejected(eject_before) == log.ejected(before2)
+                    && guide.ejected(eject_after) == log.ejected(after2)
+            }
+            (recorded, executed) => recorded == executed,
+        });
+    if same {
+        *pos += 1;
+    } else {
+        *live = false;
     }
 }
 

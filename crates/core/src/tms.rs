@@ -567,7 +567,7 @@ impl<'a> TmsPolicy<'a> {
                     sync_delay(row_o, row_v, ent.lat_src, self.costs)
                 };
                 if s > self.c_delay as i64 {
-                    return Probe::C1Reject { sync: s };
+                    return Probe::c1_reject(s);
                 }
                 sync_max = sync_max.max(s);
             } else {
@@ -578,10 +578,7 @@ impl<'a> TmsPolicy<'a> {
         // --- C2: only checked when v introduces a new speculated
         // dependence (M_v ≠ ∅ in Figure 3).
         if !v_adds_mem_dep {
-            return Probe::Accept {
-                sync_max,
-                misspec: None,
-            };
+            return Probe::accept(sync_max, None);
         }
 
         // R_all: all inter-iteration register flow dependences among
@@ -629,12 +626,9 @@ impl<'a> TmsPolicy<'a> {
         }
         let misspec = misspec_probability(probs);
         if misspec <= self.p_max {
-            Probe::Accept {
-                sync_max,
-                misspec: Some(misspec),
-            }
+            Probe::accept(sync_max, Some(misspec))
         } else {
-            Probe::C2Reject { sync_max, misspec }
+            Probe::c2_reject(sync_max, misspec)
         }
     }
 }
@@ -667,14 +661,18 @@ impl SlotPolicy for TmsPolicy<'_> {
         match *probe {
             Probe::Opaque => false,
             // Some new register dependence still exceeds the threshold.
-            Probe::C1Reject { sync } => sync > cd,
+            Probe::C1Reject { sync } => i64::from(sync) > cd,
             // Either the register sync or the misspeculation product
             // still rejects.
-            Probe::C2Reject { sync_max, misspec } => sync_max > cd || misspec > self.p_max,
-            // Both conditions still pass (`misspec == None` means C2
-            // was vacuous — a placement fact, stable across knobs).
-            Probe::Accept { sync_max, misspec } => {
-                sync_max <= cd && misspec.is_none_or(|q| q <= self.p_max)
+            Probe::C2Reject { sync_max, misspec } => {
+                i64::from(sync_max) > cd || misspec > self.p_max
+            }
+            // C2 was vacuous — a placement fact, stable across knobs —
+            // so only C1 can change the verdict.
+            Probe::Accept { sync_max } => i64::from(sync_max) <= cd,
+            // Both conditions still pass.
+            Probe::AcceptSpeculated { sync_max, misspec } => {
+                i64::from(sync_max) <= cd && misspec <= self.p_max
             }
         }
     }
@@ -714,11 +712,8 @@ impl SlotPolicy for TmsPolicy<'_> {
             }
             let dt = c - base;
             let probe = match Self::eval_scan(&entries, dt / ii, dt % ii, cd) {
-                Ok(sync_max) => Probe::Accept {
-                    sync_max,
-                    misspec: None,
-                },
-                Err(sync) => Probe::C1Reject { sync },
+                Ok(sync_max) => Probe::accept(sync_max, None),
+                Err(sync) => Probe::c1_reject(sync),
             };
             #[cfg(debug_assertions)]
             {
@@ -763,11 +758,8 @@ impl SlotPolicy for TmsPolicy<'_> {
         for x in floor..floor + ii {
             let dt = x - base;
             let probe = match Self::eval_scan(&entries, dt / ii, dt % ii, cd) {
-                Ok(sync_max) => Probe::Accept {
-                    sync_max,
-                    misspec: None,
-                },
-                Err(sync) => Probe::C1Reject { sync },
+                Ok(sync_max) => Probe::accept(sync_max, None),
+                Err(sync) => Probe::c1_reject(sync),
             };
             #[cfg(debug_assertions)]
             {
@@ -794,17 +786,19 @@ impl SlotPolicy for TmsPolicy<'_> {
 }
 
 /// Fetch (or create) the warm-start log for an II row. A row visited
-/// before returns its own log; a fresh row seeds from a *clone* of the
-/// nearest smaller II's log — the engine demotes it to a cross-II guide
+/// before returns its own log; a fresh row seeds from the nearest
+/// smaller II's log — the engine demotes it to a cross-II guide
 /// (`crate::warm`'s module docs) — or starts empty when no smaller row
-/// exists. Cloning (rather than moving) keeps the smaller row warm for
+/// exists. The seed is a copy of the smaller row's actions and window
+/// facts only ([`AttemptLog::cross_ii_seed`]): a guide never reads
+/// probes. Copying (rather than moving) keeps the smaller row warm for
 /// the out-of-numeric-order revisits the cost shells produce.
 fn warm_log_for(logs: &mut BTreeMap<u32, AttemptLog>, ii: u32) -> &mut AttemptLog {
     if !logs.contains_key(&ii) {
         let seed = logs
             .range(..ii)
             .next_back()
-            .map(|(_, log)| log.clone())
+            .map(|(_, log)| log.cross_ii_seed())
             .unwrap_or_default();
         logs.insert(ii, seed);
     }
@@ -1060,6 +1054,7 @@ impl<'a> Search<'a> {
                 log.cross_replayed = 0;
                 let out = self.run_attempt(&cand, frames, scratch, Some(&mut *log));
                 tally.reuse(log);
+                log.release_slack();
                 out
             } else {
                 self.run_attempt(&cand, frames, scratch, None)

@@ -12,8 +12,10 @@
 //!   [`cache::ScheduleCache`]): requests are keyed on a stable hash of
 //!   the canonicalised DDG, machine model, core count and search
 //!   knobs. Warm replies replay the stored result bytes verbatim, so a
-//!   hit is byte-identical to the cold schedule. The cache persists as
-//!   crash-safe ndjson with lossy-prefix recovery.
+//!   hit is byte-identical to the cold schedule. The cache holds at
+//!   most a byte cap of results with deterministic LRU eviction, and
+//!   persists as crash-safe ndjson with lossy-prefix recovery,
+//!   replayed under the cap and compacted on restart.
 //! * **Backpressure** ([`server::BoundedQueue`]): per-connection
 //!   queues are bounded; past the cap a request is *shed* with a
 //!   structured `overloaded` reply — answered, counted, never lost.
@@ -26,7 +28,7 @@
 //!   `daemon.cache.write`, budget cuts, worker panics — and proves
 //!   every request is answered and warm equals cold, byte for byte.
 //!
-//! Live counters (`tmsd.requests`, `tmsd.cache.hit/miss/bypassed`,
+//! Live counters (`tmsd.requests`, `tmsd.cache.hit/miss/bypassed/evicted`,
 //! `tmsd.shed`, `tmsd.degraded`, `tmsd.retries`, …) are exported by
 //! the `metrics` request verb as a canonical
 //! [`tms_trace::MetricsSnapshot`], schema-checked in CI.

@@ -24,7 +24,7 @@
 //! own `catch_unwind`, so one poisoned DDG yields one structured
 //! `error` reply instead of killing the daemon.
 
-use crate::cache::ScheduleCache;
+use crate::cache::{ScheduleCache, DEFAULT_CACHE_MAX_BYTES};
 use crate::proto::{
     key_hex, parse_request, reply_error, reply_metrics, reply_ok, reply_overloaded, reply_shutdown,
     salvage_id, Request, ScheduleRequest,
@@ -60,6 +60,9 @@ pub struct DaemonConfig {
     pub jobs: Parallelism,
     /// Persisted-cache path; `None` keeps the cache memory-only.
     pub cache_path: Option<PathBuf>,
+    /// Cap on resident cache bytes; least recently used entries are
+    /// evicted past it (see [`crate::cache`]).
+    pub cache_max_bytes: usize,
     /// Default per-request deadline (a request's `deadline_ms` wins).
     pub deadline: Option<Duration>,
     /// Fault-injection plan (disabled outside chaos runs).
@@ -74,6 +77,7 @@ impl Default for DaemonConfig {
             batch_max: 8,
             jobs: Parallelism::Auto,
             cache_path: None,
+            cache_max_bytes: DEFAULT_CACHE_MAX_BYTES,
             deadline: None,
             plan: FaultPlan::disabled(),
         }
@@ -103,14 +107,19 @@ impl Engine {
     /// Build an engine, opening (and lossily recovering) the persisted
     /// cache when configured. Corrupt lines dropped during recovery are
     /// counted under `tmsd.cache.bypassed` — they will be rescheduled
-    /// cold, never served wrong.
+    /// cold, never served wrong — and entries the replay evicted to fit
+    /// the cap under `tmsd.cache.evicted`.
     pub fn new(cfg: &DaemonConfig, trace: Trace) -> Engine {
+        let cap = cfg.cache_max_bytes;
         let cache = match &cfg.cache_path {
-            None => ScheduleCache::in_memory(cfg.plan.clone()),
+            None => ScheduleCache::in_memory(cfg.plan.clone(), cap),
             Some(path) => {
-                let (cache, report) = ScheduleCache::open(path, cfg.plan.clone());
+                let (cache, report) = ScheduleCache::open_with_cap(path, cfg.plan.clone(), cap);
                 if report.dropped_corrupt > 0 {
                     trace.count("tmsd.cache.bypassed", report.dropped_corrupt as u64);
+                }
+                if report.evicted > 0 {
+                    trace.count("tmsd.cache.evicted", report.evicted as u64);
                 }
                 cache
             }
@@ -126,6 +135,11 @@ impl Engine {
     /// Resident cache entries (for status lines and tests).
     pub fn cache_len(&self) -> usize {
         lock(&self.cache).len()
+    }
+
+    /// Resident cache bytes (for status lines and tests).
+    pub fn cache_bytes(&self) -> usize {
+        lock(&self.cache).bytes()
     }
 
     /// Process one schedule request end to end: cache lookup (with
@@ -173,10 +187,14 @@ impl Engine {
                         // Only settled results are cached: a degraded
                         // result reflects this run's budget/deadline,
                         // not the request's content.
-                        let report = {
+                        let (report, bytes) = {
                             let mut cache = lock(&self.cache);
-                            cache.insert(req.key, &result)
+                            (cache.insert(req.key, &result), cache.bytes())
                         };
+                        self.trace.record("tmsd.cache.bytes", bytes as u64);
+                        if report.evicted > 0 {
+                            self.trace.count("tmsd.cache.evicted", report.evicted);
+                        }
                         if report.retries > 0 {
                             self.trace.count("tmsd.retries", report.retries);
                         }
@@ -352,13 +370,17 @@ impl BoundedQueue {
     }
 }
 
-fn write_line(writer: &Mutex<TcpStream>, line: &str) {
+/// Send one reply: the line and its `\n` terminator in a single
+/// `write_all`. Two writes per reply (line, then newline) on a Nagle
+/// socket stall every round trip on the client's delayed ACK; one
+/// write, with `TCP_NODELAY` set in [`handle_conn`], goes out at once.
+fn write_line<W: Write>(writer: &Mutex<W>, mut line: String) {
+    line.push('\n');
     let mut w = lock(writer);
     // A dead client is its own problem; the daemon must not die with
     // it, so write errors are swallowed (the reader will see EOF and
     // wind the connection down).
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
 }
 
@@ -408,15 +430,15 @@ fn read_requests(
         match parse_request(line) {
             Err(e) => {
                 sh.engine.trace.count("tmsd.errors", 1);
-                write_line(&writer, &reply_error(salvage_id(line), &e));
+                write_line(&writer, reply_error(salvage_id(line), &e));
             }
             Ok(Request::Metrics { id }) => {
                 // Answered inline, bypassing the queue: observability
                 // must survive saturation.
-                write_line(&writer, &sh.engine.metrics_reply(id));
+                write_line(&writer, sh.engine.metrics_reply(id));
             }
             Ok(Request::Shutdown { id }) => {
-                write_line(&writer, &reply_shutdown(id));
+                write_line(&writer, reply_shutdown(id));
                 sh.shutdown.store(true, Ordering::Release);
                 break;
             }
@@ -426,7 +448,7 @@ fn read_requests(
                     Ok(depth) => sh.engine.trace.record("tmsd.queue_depth", depth as u64),
                     Err((depth, cap)) => {
                         sh.engine.trace.count("tmsd.shed", 1);
-                        write_line(&writer, &reply_overloaded(id, depth, cap));
+                        write_line(&writer, reply_overloaded(id, depth, cap));
                     }
                 }
             }
@@ -440,6 +462,9 @@ fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
     // A finite read timeout turns a silent client into periodic idle
     // ticks, so shutdown is always observed within ~250ms.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    // Replies are whole lines written once; Nagle would only hold each
+    // one back waiting for the client's ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -461,7 +486,7 @@ fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
         // always yields one reply per request.
         let replies = par_map(sh.jobs, &batch, |_, req| sh.engine.process(req));
         for reply in replies {
-            write_line(&writer, &reply);
+            write_line(&writer, reply);
         }
     }
     let _ = reader.join();
@@ -610,5 +635,34 @@ mod tests {
             engine.trace.metrics().counters.get("tmsd.degraded"),
             Some(&1)
         );
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_is_one_write_of_the_line_and_its_newline() {
+        let writer = Mutex::new(CountingWriter::default());
+        let reply = reply_ok(4, true, None, r#"{"ii":4}"#);
+        write_line(&writer, reply.clone());
+        write_line(&writer, reply_shutdown(5));
+        let writes = writer.into_inner().unwrap().writes;
+        assert_eq!(writes.len(), 2, "one write call per reply");
+        assert_eq!(writes[0], format!("{reply}\n").into_bytes());
+        assert_eq!(writes[1], format!("{}\n", reply_shutdown(5)).into_bytes());
     }
 }

@@ -11,13 +11,18 @@
 //!   `degraded` replies and the `tmsd.degraded` counter, not as missing
 //!   answers;
 //! * **the live `metrics` verb is schema-valid** and its counters
-//!   reconcile with what the client observed.
+//!   reconcile with what the client observed;
+//! * **the cache stays under its byte cap** — the in-process daemon runs
+//!   with a cap far below the corpus, so LRU eviction fires; resident
+//!   bytes never exceed the cap, and after a restart the compacted
+//!   cache file is within the cap plus one entry.
 //!
 //! With no explicit address the soak spawns an in-process daemon on an
 //! ephemeral port with [`hot_rates`] and tears it down with a
 //! `shutdown` request at the end, so `tmsd soak` is self-contained for
 //! CI.
 
+use crate::cache::ScheduleCache;
 use crate::proto::salvage_id;
 use crate::server::{serve, DaemonConfig};
 use serde_json::Value;
@@ -58,6 +63,10 @@ pub fn hot_rates() -> FaultRates {
     }
 }
 
+/// Corpus entries per window of the soak's request stream; see
+/// [`run_soak`].
+const SOAK_WINDOW: usize = 3;
+
 /// What to soak and how hard.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
@@ -74,6 +83,9 @@ pub struct SoakConfig {
     pub queue_cap: usize,
     /// Send a final `shutdown` request (always sent in-process).
     pub shutdown: bool,
+    /// Cache cap of the in-process daemon, in bytes. The default holds
+    /// about three results, far below the corpus, so eviction fires.
+    pub cache_max_bytes: usize,
 }
 
 impl Default for SoakConfig {
@@ -84,6 +96,7 @@ impl Default for SoakConfig {
             addr: None,
             queue_cap: 16,
             shutdown: true,
+            cache_max_bytes: 2 << 10,
         }
     }
 }
@@ -209,6 +222,9 @@ fn send_batch(addr: &str, lines: &[String]) -> Result<Vec<String>, String> {
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .map_err(|e| format!("set_read_timeout: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set_nodelay: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let expected = lines.len();
     let reader = std::thread::spawn(move || {
@@ -230,11 +246,13 @@ fn send_batch(addr: &str, lines: &[String]) -> Result<Vec<String>, String> {
         }
         replies
     });
+    // Each request goes out as one write of the line and its newline.
+    let mut out = Vec::new();
     for line in lines {
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| format!("write: {e}"))?;
+        out.clear();
+        out.extend_from_slice(line.as_bytes());
+        out.push(b'\n');
+        writer.write_all(&out).map_err(|e| format!("write: {e}"))?;
     }
     writer.flush().map_err(|e| format!("flush: {e}"))?;
     // Half-close so the daemon's reader sees EOF once it has drained
@@ -243,6 +261,33 @@ fn send_batch(addr: &str, lines: &[String]) -> Result<Vec<String>, String> {
     reader
         .join()
         .map_err(|_| "client reader panicked".to_string())
+}
+
+/// Reopen the soak daemon's cache file as a restarted daemon would and
+/// check the bound: resident bytes within the cap, and the compacted
+/// file within the cap plus its longest entry line.
+fn check_restart(path: &std::path::Path, cap: usize, report: &mut SoakReport) {
+    let longest = std::fs::read(path)
+        .unwrap_or_default()
+        .split(|&b| b == b'\n')
+        .map(<[u8]>::len)
+        .max()
+        .unwrap_or(0)
+        + 1;
+    let (cache, _) = ScheduleCache::open_with_cap(path, FaultPlan::disabled(), cap);
+    if cache.bytes() > cap {
+        report.failures.push(format!(
+            "restarted cache holds {} bytes past the cap {cap}",
+            cache.bytes()
+        ));
+    }
+    drop(cache);
+    let size = std::fs::metadata(path).map_or(0, |m| m.len() as usize);
+    if size > cap + longest {
+        report.failures.push(format!(
+            "cache file is {size} bytes after restart, past the cap {cap} plus one entry"
+        ));
+    }
 }
 
 /// Extract the raw `result` bytes of an `ok` reply — the exact
@@ -349,6 +394,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                 batch_max: 4,
                 jobs: Parallelism::Auto,
                 cache_path: Some(path.clone()),
+                cache_max_bytes: cfg.cache_max_bytes,
                 deadline: None,
                 plan: FaultPlan::with_rates(cfg.seed, hot_rates()),
             };
@@ -394,11 +440,16 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
 
     let mut pending: Vec<(u64, String)> = Vec::new();
     for n in 0..cfg.requests {
+        // The stream walks the corpus in windows of `SOAK_WINDOW`
+        // entries, each window sent twice: the repeat pass hits (and
+        // with it draws cache-read faults) on every key, while moving
+        // to the next window overflows the small cache cap and evicts.
         let kind = if n % 16 == 15 {
             Kind::Deadline
         } else {
+            let window = n / (2 * SOAK_WINDOW);
             Kind::Schedule {
-                corpus: n % corpus.entries.len(),
+                corpus: (window * SOAK_WINDOW + n % SOAK_WINDOW) % corpus.entries.len(),
             }
         };
         let id = next_id;
@@ -598,6 +649,30 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                                 ));
                             }
                         }
+                        match snap.values.get("tmsd.cache.bytes") {
+                            Some(bytes) if bytes.max > cfg.cache_max_bytes as u64 => {
+                                report.failures.push(format!(
+                                    "resident cache bytes reached {} past the cap {}",
+                                    bytes.max, cfg.cache_max_bytes
+                                ))
+                            }
+                            Some(_) => {}
+                            None => report
+                                .failures
+                                .push("tmsd.cache.bytes was never recorded".to_string()),
+                        }
+                        if snap
+                            .counters
+                            .get("tmsd.cache.evicted")
+                            .copied()
+                            .unwrap_or(0)
+                            == 0
+                        {
+                            report.failures.push(format!(
+                                "no cache eviction under a {}-byte cap",
+                                cfg.cache_max_bytes
+                            ));
+                        }
                     }
                 }
             }
@@ -644,7 +719,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             Err(_) => report.failures.push("daemon thread panicked".to_string()),
         }
     }
+    // Phase 6: restart. Reopening the persisted cache — what a daemon
+    // restart does first — replays it under the cap and compacts it.
     if let Some(path) = cache_path {
+        check_restart(&path, cfg.cache_max_bytes, &mut report);
         let _ = std::fs::remove_file(&path);
     }
 

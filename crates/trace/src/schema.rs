@@ -48,6 +48,7 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "tms.unschedulable",
     "tmsd.batches",
     "tmsd.cache.bypassed",
+    "tmsd.cache.evicted",
     "tmsd.cache.hit",
     "tmsd.cache.miss",
     "tmsd.degraded",
@@ -77,6 +78,7 @@ pub const KNOWN_VALUES: &[&str] = &[
     "tms.place.forced_per_attempt",
     "tms.pruned_per_loop",
     "tmsd.batch_size",
+    "tmsd.cache.bytes",
     "tmsd.queue_depth",
 ];
 
@@ -213,6 +215,8 @@ mod tests {
         assert!(is_known_counter("tmsd.cache.bypassed"));
         assert!(is_known_counter("tmsd.shed"));
         assert!(is_known_value("tmsd.queue_depth"));
+        assert!(is_known_counter("tmsd.cache.evicted"));
+        assert!(is_known_value("tmsd.cache.bytes"));
         assert!(!is_known_counter("tms.prnued.cost-bound")); // typo
         assert!(!is_known_counter("tmsd.cache.hits")); // plural typo
         assert!(!is_known_value("tms.attempts")); // wrong section

@@ -1,12 +1,14 @@
 //! `tmsd` integration tests: the golden cache-key pin, the warm-equals-
-//! cold byte-identity property, torn-cache-file recovery through a
-//! daemon restart, and one end-to-end TCP round trip.
+//! cold byte-identity property (also across cache eviction), torn- and
+//! oversized-cache-file recovery through a daemon restart, one
+//! end-to-end TCP round trip, and the no-stall check on sequential
+//! hits.
 
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tms_daemon::proto::{cache_key, key_hex, parse_request, Knobs, Request};
 use tms_daemon::{serve, DaemonConfig, Engine};
 use tms_faults::FaultPlan;
@@ -331,4 +333,166 @@ fn zero_rate_plan_matches_disabled_plan() {
     let b = Engine::new(&disabled, Trace::disabled());
     let req = parse_schedule(&schedule_line(1, &figure1(), 4));
     assert_eq!(a.process(&req), b.process(&req));
+}
+
+/// The first `n` fuzzed loops that schedule without error, as requests.
+fn schedulable_requests(n: usize, seed: u64) -> Vec<tms_daemon::ScheduleRequest> {
+    let probe = Engine::new(&DaemonConfig::default(), Trace::disabled());
+    fuzz_ddgs(4 * n, seed)
+        .iter()
+        .enumerate()
+        .map(|(i, d)| parse_schedule(&schedule_line(i as u64, d, 4)))
+        .filter(|r| probe.process(r).contains(r#""status":"ok""#))
+        .take(n)
+        .map(|r| *r)
+        .collect()
+}
+
+/// A key evicted by the byte cap misses and is rescheduled cold, with
+/// result bytes identical to its first cold reply; resident bytes never
+/// pass the cap.
+#[test]
+fn evicted_entries_reschedule_cold_with_identical_bytes() {
+    let reqs = schedulable_requests(4, 0xE71C);
+    assert_eq!(reqs.len(), 4);
+    // Room for about two results.
+    let cap = 2048;
+    let engine = Engine::new(
+        &DaemonConfig {
+            cache_max_bytes: cap,
+            ..DaemonConfig::default()
+        },
+        Trace::enabled(),
+    );
+    let cold: Vec<String> = reqs.iter().map(|r| engine.process(r)).collect();
+    assert!(engine.cache_bytes() <= cap);
+    assert!(
+        engine.cache_len() < reqs.len(),
+        "the cap must force eviction"
+    );
+    // The first request was the least recently used: it was evicted.
+    let again = engine.process(&reqs[0]);
+    assert!(again.contains(r#""cached":false"#), "{again}");
+    assert_eq!(raw_result(&again), raw_result(&cold[0]));
+    // The latest entry is still resident and replays its bytes.
+    let warm = engine.process(&reqs[3]);
+    assert!(warm.contains(r#""cached":true"#), "{warm}");
+    assert_eq!(raw_result(&warm), raw_result(&cold[3]));
+
+    let snap = engine.trace.metrics();
+    assert!(
+        snap.counters
+            .get("tmsd.cache.evicted")
+            .copied()
+            .unwrap_or(0)
+            > 0
+    );
+    let bytes = snap
+        .values
+        .get("tmsd.cache.bytes")
+        .expect("recorded on insert");
+    assert!(
+        bytes.max <= cap as u64,
+        "resident bytes reached {}",
+        bytes.max
+    );
+    assert!(tms_trace::schema::unknown_metrics(&snap).is_empty());
+}
+
+/// A daemon restarted with a cache file larger than its cap keeps the
+/// most recently appended entries and compacts the file to within the
+/// cap plus one entry.
+#[test]
+fn restart_over_cap_keeps_latest_entries_and_compacts_the_file() {
+    let dir = std::env::temp_dir().join("tmsd_cap_restart_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("schedules.ndjson");
+    let _ = std::fs::remove_file(&path);
+    let reqs = schedulable_requests(6, 0xCA9);
+    let cfg = DaemonConfig {
+        cache_path: Some(path.clone()),
+        ..DaemonConfig::default()
+    };
+    let cold: Vec<String> = {
+        let engine = Engine::new(&cfg, Trace::disabled());
+        reqs.iter().map(|r| engine.process(r)).collect()
+    };
+    let text = std::fs::read_to_string(&path).unwrap();
+    let longest = text.lines().map(|l| l.len() + 1).max().unwrap();
+    // Room for the last three lines, not four.
+    let lines: Vec<&str> = text.lines().collect();
+    let cap: usize = lines[3..].iter().map(|l| l.len() + 1).sum();
+
+    let engine = Engine::new(
+        &DaemonConfig {
+            cache_max_bytes: cap,
+            ..cfg
+        },
+        Trace::enabled(),
+    );
+    assert_eq!(engine.cache_len(), 3);
+    assert!(engine.cache_bytes() <= cap);
+    let size = std::fs::metadata(&path).unwrap().len() as usize;
+    assert!(size <= cap + longest, "compacted file is {size} bytes");
+    assert_eq!(
+        engine.trace.metrics().counters.get("tmsd.cache.evicted"),
+        Some(&3)
+    );
+    // Survivors first (a miss would evict one of them).
+    for i in (3..6).chain(0..3) {
+        let reply = engine.process(&reqs[i]);
+        assert_eq!(raw_result(&reply), raw_result(&cold[i]));
+        let cached = reply.contains(r#""cached":true"#);
+        assert_eq!(cached, i >= 3, "entry {i}: {reply}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A cache hit is a few microseconds of work, so sequential hits over
+/// one connection must not wait on Nagle's algorithm and the peer's
+/// delayed ACK (~40 ms per round trip when a reply is sent as two
+/// writes on a socket without `TCP_NODELAY`).
+#[test]
+fn sequential_hits_do_not_stall() {
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        serve(&DaemonConfig::default(), Trace::disabled(), move |addr| {
+            let _ = tx.send(addr);
+        })
+    });
+    let addr = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("daemon ready");
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut ask = |line: String| -> String {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+
+    let cold = ask(schedule_line(1, &figure1(), 4));
+    assert!(cold.contains(r#""cached":false"#), "{cold}");
+    let start = Instant::now();
+    for id in 2..22 {
+        let hit = ask(schedule_line(id, &figure1(), 4));
+        assert!(hit.contains(r#""cached":true"#), "{hit}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 sequential hits took {elapsed:?}"
+    );
+
+    ask(r#"{"id":99,"verb":"shutdown"}"#.to_string());
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
 }
