@@ -25,6 +25,7 @@ use std::process::ExitCode;
 use tms_bench::baseline::PerfBaseline;
 use tms_bench::throughput::{render, run, write, ThroughputConfig};
 use tms_core::par::Parallelism;
+use tms_verify::cli::{self, Args};
 
 fn main() -> ExitCode {
     let mut cfg = ThroughputConfig {
@@ -42,47 +43,21 @@ fn main() -> ExitCode {
     let mut out = PathBuf::from("results/bench_sched.json");
     let mut gate: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
+    let mut it = Args::new(std::env::args().skip(1).collect());
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))
-                .and_then(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
-        };
         let r = match flag.as_str() {
-            "--jobs" => match it.next() {
-                Some(v) => Parallelism::parse_jobs(&v)
-                    .map(|p| cfg.jobs = p)
-                    .map_err(|e| format!("--jobs: {e}")),
-                None => Err("--jobs needs a value".to_string()),
-            },
-            "--fuzz" => val("--fuzz").map(|n| cfg.fuzz = n as usize),
-            "--seed" => val("--seed").map(|n| cfg.seed = n),
-            "--out" => match it.next() {
-                Some(p) => {
-                    out = PathBuf::from(p);
-                    Ok(())
-                }
-                None => Err("--out needs a value".to_string()),
-            },
+            "--jobs" => it.jobs("--jobs").map(|p| cfg.jobs = p),
+            "--fuzz" => it.parsed("--fuzz").map(|n| cfg.fuzz = n),
+            "--seed" => it.parsed("--seed").map(|n| cfg.seed = n),
+            "--out" => it.value("--out").map(|p| out = PathBuf::from(p)),
             "--smoke" => {
                 cfg.smoke = true;
                 Ok(())
             }
-            "--gate" => match it.next() {
-                Some(p) => {
-                    gate = Some(PathBuf::from(p));
-                    Ok(())
-                }
-                None => Err("--gate needs a value".to_string()),
-            },
-            "--write-baseline" => match it.next() {
-                Some(p) => {
-                    write_baseline = Some(PathBuf::from(p));
-                    Ok(())
-                }
-                None => Err("--write-baseline needs a value".to_string()),
-            },
+            "--gate" => it.value("--gate").map(|p| gate = Some(PathBuf::from(p))),
+            "--write-baseline" => it
+                .value("--write-baseline")
+                .map(|p| write_baseline = Some(PathBuf::from(p))),
             "--help" | "-h" => {
                 println!(
                     "sched-throughput [--jobs N] [--fuzz N] [--seed S] [--out PATH] [--smoke] \
@@ -90,7 +65,7 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => Err(format!("unknown flag {other}")),
+            other => Err(cli::unknown(other)),
         };
         if let Err(e) = r {
             eprintln!("sched-throughput: {e}");

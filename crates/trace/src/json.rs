@@ -1,6 +1,7 @@
-//! Minimal hand-rolled JSON emission. `tms-trace` is intentionally
-//! dependency-free (even of the vendored `serde`), so the exporters
-//! share these few helpers instead.
+//! Hand-rolled JSON emission shared by the exporters. They write
+//! straight into one `String` instead of building a `serde_json::Value`
+//! tree, because the Chrome render formats several numbers per event.
+//! Reading goes through `serde_json` (see [`crate::stream::parse_line`]).
 
 use crate::sink::Histogram;
 

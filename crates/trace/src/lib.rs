@@ -1,4 +1,4 @@
-//! Zero-dependency structured tracing and metrics for the TMS pipeline.
+//! Structured tracing and metrics for the TMS pipeline.
 //!
 //! The paper's whole contribution is a cost model that *predicts* where
 //! cycles go; this crate is what lets the implementation *show* where
@@ -93,7 +93,6 @@ mod chrome;
 mod error;
 mod json;
 pub mod merge;
-mod parse;
 pub mod schema;
 mod sink;
 pub mod stream;

@@ -15,9 +15,9 @@
 //!   byte-identical to a single-process run at any shard count.
 
 use crate::error::TraceError;
-use crate::parse::{parse, Json};
 use crate::sink::{Histogram, MetricsSnapshot};
-use crate::stream::{parse_spill, parse_spill_lossy, OwnedEvent};
+use crate::stream::{exact_u64, parse_spill, parse_spill_lossy, OwnedEvent};
+use serde_json::Value;
 use std::path::Path;
 
 fn read_file(p: &Path) -> Result<String, TraceError> {
@@ -87,17 +87,17 @@ pub fn chrome_from_spills_lossy<P: AsRef<Path>>(
     Ok((crate::chrome::render(&rec.events), rec.notes))
 }
 
-fn histogram_from_json(name: &str, v: &Json) -> Result<Histogram, String> {
+fn histogram_from_json(name: &str, v: &Value) -> Result<Histogram, String> {
     let field = |key: &str| {
         v.get(key)
-            .and_then(Json::as_u64)
+            .and_then(exact_u64)
             .ok_or_else(|| format!("histogram '{name}': missing '{key}'"))
     };
     let buckets = match v.get("buckets") {
-        Some(Json::Arr(items)) => items
+        Some(Value::Array(items)) => items
             .iter()
             .map(|pair| match pair {
-                Json::Arr(p) if p.len() == 2 => match (p[0].as_u64(), p[1].as_u64()) {
+                Value::Array(p) if p.len() == 2 => match (exact_u64(&p[0]), exact_u64(&p[1])) {
                     (Some(i), Some(n)) => Ok((i, n)),
                     _ => Err(format!("histogram '{name}': non-integer bucket pair")),
                 },
@@ -121,19 +121,18 @@ fn histogram_from_json(name: &str, v: &Json) -> Result<Histogram, String> {
 /// ([`crate::Trace::metrics_json`] — the `timers_ns` / `span_events`
 /// sections are ignored).
 pub fn parse_snapshot(text: &str) -> Result<MetricsSnapshot, String> {
-    let doc = parse(text)?;
+    let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let mut snap = MetricsSnapshot::default();
-    if let Some(counters) = doc.get("counters").and_then(Json::as_obj) {
+    if let Some(counters) = doc.get("counters").and_then(Value::as_object) {
         for (k, v) in counters {
-            let n = v
-                .as_u64()
-                .ok_or_else(|| format!("counter '{k}' is not an unsigned integer"))?;
+            let n =
+                exact_u64(v).ok_or_else(|| format!("counter '{k}' is not an unsigned integer"))?;
             snap.counters.insert(k.clone(), n);
         }
     } else {
         return Err("missing 'counters' object".to_string());
     }
-    if let Some(values) = doc.get("values").and_then(Json::as_obj) {
+    if let Some(values) = doc.get("values").and_then(Value::as_object) {
         for (k, v) in values {
             snap.values.insert(k.clone(), histogram_from_json(k, v)?);
         }
@@ -208,6 +207,11 @@ mod tests {
         // The full metrics JSON parses to the same slice.
         let from_full = parse_snapshot(&t.metrics_json()).unwrap();
         assert_eq!(from_full, snap);
+        // Counters are exact to the last bit of a u64.
+        let t = Trace::enabled();
+        t.count("max", u64::MAX);
+        let back = parse_snapshot(&t.snapshot_json()).unwrap();
+        assert_eq!(back.counters["max"], u64::MAX);
     }
 
     #[test]
@@ -243,6 +247,13 @@ mod tests {
         assert!(parse_snapshot("{}").is_err());
         assert!(parse_snapshot("{\"counters\": {\"a\": \"x\"}}").is_err());
         assert!(parse_snapshot("{\"counters\": {}, \"values\": {\"h\": {\"count\": 1}}}").is_err());
+        // A counter is an exact unsigned integer: not `1.0`, not `-1`.
+        for bad in ["1.0", "-1", "1e0"] {
+            let doc = format!("{{\"counters\": {{\"a\": {bad}}}, \"values\": {{}}}}");
+            let err = parse_snapshot(&doc).unwrap_err();
+            assert!(err.contains("counter 'a'"), "{bad}: {err}");
+        }
+        assert!(parse_snapshot("{\"counters\": {\"a\": 1}, \"values\": {}}").is_ok());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! lets `tms trace merge` reproduce the in-memory exporter's bytes.
 
 use crate::json::{push_u64, write_str};
-use crate::parse::{parse, Json};
 use crate::sink::{Event, EventPhase};
+use serde_json::Value;
 
 /// An event parsed back from a spill file — same shape as
 /// [`Event`] with owned strings.
@@ -100,28 +100,38 @@ pub fn write_ndjson_line(out: &mut String, ev: &Event) {
     out.push_str("}}\n");
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
+/// An exact unsigned integer — the only number shape the exporters
+/// write. `Value::as_u64` is not strict enough: it also takes `1.0`.
+pub(crate) fn exact_u64(v: &Value) -> Option<u64> {
+    match *v {
+        Value::UInt(n) => Some(n),
+        Value::Int(n) => u64::try_from(n).ok(),
+        _ => None,
+    }
+}
+
+fn field_u64(obj: &Value, key: &str) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(exact_u64)
         .ok_or_else(|| format!("missing or non-integer '{key}'"))
 }
 
 /// Parse one spill line back into an [`OwnedEvent`].
 pub fn parse_line(line: &str) -> Result<OwnedEvent, String> {
-    let v = parse(line)?;
-    let ph = match v.get("ph").and_then(Json::as_str) {
+    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let ph = match v.get("ph").and_then(Value::as_str) {
         Some("X") => EventPhase::Complete,
         Some("C") => EventPhase::Counter,
         other => return Err(format!("bad ph {other:?}")),
     };
     let cat = v
         .get("cat")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or("missing 'cat'")?
         .to_string();
     let name = v
         .get("name")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or("missing 'name'")?
         .to_string();
     let track = field_u64(&v, "tid")?;
@@ -132,15 +142,16 @@ pub fn parse_line(line: &str) -> Result<OwnedEvent, String> {
     };
     let args_obj = v
         .get("args")
-        .and_then(Json::as_obj)
+        .and_then(Value::as_object)
         .ok_or("missing 'args' object")?;
     let mut args = Vec::with_capacity(args_obj.len());
     for (k, val) in args_obj {
         let rendered = match (ph, val) {
-            (EventPhase::Complete, Json::Str(s)) => s.clone(),
-            (EventPhase::Counter, Json::U64(n)) => n.to_string(),
-            _ => return Err(format!("arg '{k}' has the wrong type for ph")),
+            (EventPhase::Complete, Value::Str(s)) => Some(s.clone()),
+            (EventPhase::Counter, n) => exact_u64(n).map(|n| n.to_string()),
+            _ => None,
         };
+        let rendered = rendered.ok_or_else(|| format!("arg '{k}' has the wrong type for ph"))?;
         args.push((k.clone(), rendered));
     }
     Ok(OwnedEvent {
@@ -223,8 +234,9 @@ mod tests {
 
     #[test]
     fn spans_round_trip_exactly() {
+        // Every escape `write_str` emits, read back through serde_json.
         let ev = span(
-            "ker\"nel\n",
+            "ker\"nel\n\r\t\u{1}",
             vec![("loops", "18".into()), ("k", "v\\x".into())],
         );
         let mut line = String::new();
@@ -233,7 +245,7 @@ mod tests {
         let back = parse_line(line.trim_end()).unwrap();
         assert_eq!(back.ph, EventPhase::Complete);
         assert_eq!(back.cat, "sweep");
-        assert_eq!(back.name, "ker\"nel\n");
+        assert_eq!(back.name, "ker\"nel\n\r\t\u{1}");
         assert_eq!((back.track, back.ts_us, back.dur_us), (3, 10, 20));
         assert_eq!(
             back.args,
@@ -262,6 +274,15 @@ mod tests {
         let back = parse_line(line.trim_end()).unwrap();
         assert_eq!(back.ph, EventPhase::Counter);
         assert_eq!(back.args, vec![("value".to_string(), "7".to_string())]);
+        // Counter args and numeric fields are exact unsigned integers.
+        for bad in ["{\"value\":7.0}", "{\"value\":-1}", "{\"value\":\"7\"}"] {
+            let text = line.trim_end().replace("{\"value\":7}", bad);
+            assert!(parse_line(&text).is_err(), "{text}");
+        }
+        for bad in ["\"ts\":96.0", "\"ts\":-1", "\"ts\":1e2"] {
+            let text = line.trim_end().replace("\"ts\":96", bad);
+            assert!(parse_line(&text).is_err(), "{text}");
+        }
     }
 
     #[test]
@@ -293,6 +314,12 @@ mod tests {
         let mut text = String::from("{\"ph\":\"X\"}\n");
         write_ndjson_line(&mut text, &ev);
         let err = parse_spill_lossy(&text).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse_spill(&"[".repeat(100_000)).unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
     }
 

@@ -14,7 +14,9 @@
 //!   bodies, register/memory recurrences, induction pressure and
 //!   always-aliasing (`p = 1.0`) carried dependences;
 //! * [`report`] — the `results/verify.json` artifact the `tms-verify`
-//!   binary emits.
+//!   binary emits;
+//! * [`cli`] and [`glob`] — the strict flag parser and merge-input
+//!   expansion every binary of the workspace shares.
 //!
 //! ```
 //! use tms_verify::checks::{check_loop, CheckConfig};
@@ -27,6 +29,7 @@
 //! ```
 
 pub mod checks;
+pub mod cli;
 pub mod fuzz;
 pub mod glob;
 pub mod report;

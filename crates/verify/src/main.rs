@@ -24,6 +24,7 @@ use std::time::Instant;
 use tms_core::par::Parallelism;
 use tms_faults::FaultPlan;
 use tms_trace::Trace;
+use tms_verify::cli;
 use tms_verify::sweep::{run_sweep, SweepConfig};
 
 struct Args {
@@ -100,14 +101,6 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_seed(text: &str) -> Result<u64, String> {
-    let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    parsed.map_err(|e| format!("--faults: {e}"))
-}
-
 fn parse_shard(text: &str) -> Result<(u32, u32), String> {
     let (i, n) = text
         .split_once('/')
@@ -123,56 +116,36 @@ fn parse_shard(text: &str) -> Result<(u32, u32), String> {
     Ok((i, n))
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args::default();
-    // Flag < TMS_JOBS env < default (all cores). An unparseable
+    // Flag > TMS_JOBS env > default (all cores). An unparseable
     // TMS_JOBS is a hard error, not a silent fall-through.
     if let Some(jobs) = Parallelism::from_env()? {
         args.sweep.jobs = jobs;
     }
-    let mut it = std::env::args().skip(1);
+    let mut it = cli::Args::new(argv);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--fuzz" => {
-                args.sweep.fuzz = val("--fuzz")?.parse().map_err(|e| format!("--fuzz: {e}"))?
-            }
-            "--seed" => {
-                args.sweep.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            "--out" => args.out = PathBuf::from(val("--out")?),
-            "--sim-iters" => {
-                args.sweep.sim_iters = val("--sim-iters")?
-                    .parse()
-                    .map_err(|e| format!("--sim-iters: {e}"))?
-            }
-            "--specfp-cap" => {
-                args.sweep.specfp_cap = val("--specfp-cap")?
-                    .parse()
-                    .map_err(|e| format!("--specfp-cap: {e}"))?
-            }
-            "--jobs" => {
-                args.sweep.jobs =
-                    Parallelism::parse_jobs(&val("--jobs")?).map_err(|e| format!("--jobs: {e}"))?;
-            }
+            "--fuzz" => args.sweep.fuzz = it.parsed("--fuzz")?,
+            "--seed" => args.sweep.seed = it.parsed("--seed")?,
+            "--out" => args.out = PathBuf::from(it.value("--out")?),
+            "--sim-iters" => args.sweep.sim_iters = it.parsed("--sim-iters")?,
+            "--specfp-cap" => args.sweep.specfp_cap = it.parsed("--specfp-cap")?,
+            "--jobs" => args.sweep.jobs = it.jobs("--jobs")?,
             "--no-sim" => args.sweep.no_sim = true,
             "--quick" => args.sweep.quick = true,
-            "--shard" => args.sweep.shard = Some(parse_shard(&val("--shard")?)?),
-            "--trace" => args.trace_out = Some(PathBuf::from(val("--trace")?)),
-            "--stream" => args.stream_out = Some(PathBuf::from(val("--stream")?)),
-            "--stream-buffer" => {
-                args.stream_buffer = val("--stream-buffer")?
-                    .parse()
-                    .map_err(|e| format!("--stream-buffer: {e}"))?
-            }
-            "--metrics" => args.metrics_out = Some(PathBuf::from(val("--metrics")?)),
-            "--snapshot" => args.snapshot_out = Some(PathBuf::from(val("--snapshot")?)),
-            "--faults" => args.faults_seed = Some(parse_seed(&val("--faults")?)?),
+            "--shard" => args.sweep.shard = Some(parse_shard(&it.value("--shard")?)?),
+            "--trace" => args.trace_out = Some(PathBuf::from(it.value("--trace")?)),
+            "--stream" => args.stream_out = Some(PathBuf::from(it.value("--stream")?)),
+            "--stream-buffer" => args.stream_buffer = it.parsed("--stream-buffer")?,
+            "--metrics" => args.metrics_out = Some(PathBuf::from(it.value("--metrics")?)),
+            "--snapshot" => args.snapshot_out = Some(PathBuf::from(it.value("--snapshot")?)),
+            "--faults" => args.faults_seed = Some(it.seed("--faults")?),
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(cli::unknown(other)),
         }
     }
     if args.trace_out.is_some() && args.stream_out.is_some() {
@@ -182,19 +155,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// `tms-verify merge-metrics [--out PATH] FILE...`
-fn cmd_merge_metrics(argv: &[String]) -> ExitCode {
+fn cmd_merge_metrics(argv: Vec<String>) -> Result<(), String> {
     let mut out: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = argv.iter();
+    let mut inputs: Vec<String> = Vec::new();
+    let mut it = cli::Args::new(argv);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("tms-verify merge-metrics: --out needs a value");
-                    return ExitCode::from(2);
-                }
-            },
+            "--out" => out = Some(PathBuf::from(it.value("--out")?)),
             "--help" | "-h" => {
                 println!(
                     "tms-verify merge-metrics [--out PATH] FILE...\n\
@@ -202,39 +169,14 @@ fn cmd_merge_metrics(argv: &[String]) -> ExitCode {
                      component);\nzero inputs or a pattern matching \
                      nothing exits 2"
                 );
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
-            // Shells pass unmatched globs through verbatim, so expand
-            // `*` / `?` patterns here: a pattern matching nothing is an
-            // operational error (exit 2), never a silent empty merge.
-            _ if tms_verify::glob::is_pattern(a) => match tms_verify::glob::expand(a) {
-                Ok(matched) if matched.is_empty() => {
-                    eprintln!("tms-verify merge-metrics: pattern '{a}' matched no files");
-                    return ExitCode::from(2);
-                }
-                Ok(matched) => files.extend(matched),
-                Err(e) => {
-                    eprintln!("tms-verify merge-metrics: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => files.push(PathBuf::from(a)),
+            flag if flag.starts_with('-') => return Err(cli::unknown(flag)),
+            _ => inputs.push(a),
         }
     }
-    if files.is_empty() {
-        eprintln!(
-            "tms-verify merge-metrics: no input files — nothing to merge \
-             (refusing to write an empty snapshot)"
-        );
-        return ExitCode::from(2);
-    }
-    let merged = match tms_trace::merge::merge_snapshot_files(&files) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("tms-verify merge-metrics: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let files = cli::expand_inputs(&inputs)?;
+    let merged = tms_trace::merge::merge_snapshot_files(&files).map_err(|e| e.to_string())?;
     let json = merged.to_json();
     match out {
         None => print!("{json}"),
@@ -242,26 +184,28 @@ fn cmd_merge_metrics(argv: &[String]) -> ExitCode {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!(
-                    "tms-verify merge-metrics: cannot write {}: {e}",
-                    path.display()
-                );
-                return ExitCode::from(2);
-            }
+            std::fs::write(&path, &json)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             println!("merged {} file(s) -> {}", files.len(), path.display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("merge-metrics") {
-        return cmd_merge_metrics(&argv[1..]);
+        argv.remove(0);
+        return match cmd_merge_metrics(argv) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("tms-verify merge-metrics: {e}");
+                ExitCode::from(2)
+            }
+        };
     }
 
-    let mut args = match parse_args() {
+    let mut args = match parse_args(argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("tms-verify: {e}");

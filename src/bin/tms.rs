@@ -37,6 +37,7 @@
 use serde_json::Value;
 use std::process::ExitCode;
 use tms_repro::prelude::*;
+use tms_verify::cli::{self, Args};
 use tms_workloads::{doacross_suite, figure1, kernels, livermore};
 
 struct Opts {
@@ -61,22 +62,6 @@ fn find_loop(name: &str) -> Option<Ddg> {
     named_workloads().into_iter().find(|g| g.name() == name)
 }
 
-/// Required flag value, as a string.
-fn flag_str<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// Required flag value, parsed. A bad value is a structured error, not
-/// a silent fallback to the default.
-fn flag_num<T: std::str::FromStr>(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<T, String> {
-    let v = flag_str(it, flag)?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value {v:?}"))
-}
-
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         ncore: 4,
@@ -87,17 +72,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         buffer: 4096,
         machine: None,
     };
-    let mut it = args.iter();
+    let mut it = Args::new(args.to_vec());
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--ncore" => o.ncore = flag_num(&mut it, "--ncore")?,
-            "--iters" => o.iters = flag_num(&mut it, "--iters")?,
-            "--unroll" => o.unroll = flag_num(&mut it, "--unroll")?,
-            "--trace" => o.trace_out = Some(flag_str(&mut it, "--trace")?.clone()),
-            "--stream" => o.stream_out = Some(flag_str(&mut it, "--stream")?.clone()),
-            "--buffer" => o.buffer = flag_num(&mut it, "--buffer")?,
-            "--machine" => o.machine = Some(flag_str(&mut it, "--machine")?.clone()),
-            other => return Err(format!("unknown option {other:?}")),
+            "--ncore" => o.ncore = it.parsed("--ncore")?,
+            "--iters" => o.iters = it.parsed("--iters")?,
+            "--unroll" => o.unroll = it.parsed("--unroll")?,
+            "--trace" => o.trace_out = Some(it.value("--trace")?),
+            "--stream" => o.stream_out = Some(it.value("--stream")?),
+            "--buffer" => o.buffer = it.parsed("--buffer")?,
+            "--machine" => o.machine = Some(it.value("--machine")?),
+            other => return Err(cli::unknown(other)),
         }
     }
     if o.ncore == 0 {
@@ -249,24 +234,22 @@ fn cmd_trace(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
     cfg.collect_trace = true;
     let out = simulate_spmt_traced(&g, &tms.schedule, &cfg, &sink);
     if let Some(path) = &o.trace_out {
-        match sink.write_chrome(std::path::Path::new(path)) {
-            Ok(()) => println!(
-                "wrote {path} ({} events; load in chrome://tracing or ui.perfetto.dev)",
-                sink.event_count()
-            ),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
+        sink.write_chrome(std::path::Path::new(path))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!(
+            "wrote {path} ({} events; load in chrome://tracing or ui.perfetto.dev)",
+            sink.event_count()
+        );
     }
     if let Some(path) = &o.stream_out {
-        match sink.flush() {
-            Ok(()) => println!(
-                "wrote {path} ({} events spilled, peak {} resident; \
-                 convert with `tms trace merge <out.json> {path}`)",
-                sink.spilled_events(),
-                sink.spill_high_water()
-            ),
-            Err(e) => eprintln!("cannot flush {path}: {e}"),
-        }
+        sink.flush()
+            .map_err(|e| format!("cannot flush {path}: {e}"))?;
+        println!(
+            "wrote {path} ({} events spilled, peak {} resident; \
+             convert with `tms trace merge <out.json> {path}`)",
+            sink.spilled_events(),
+            sink.spill_high_water()
+        );
     }
     let trace = out
         .trace
@@ -288,50 +271,17 @@ fn cmd_trace(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
 /// `tms trace merge <out.json> <in.trace.ndjson>...` — render one or
 /// more spill files as a single Chrome trace_event document, byte-
 /// identical to what an in-memory sink would have written for the
-/// same events.
-///
-/// Inputs may be glob patterns (final component only, like
-/// `tms-verify merge-metrics`): the shell passes an unmatched pattern
-/// through verbatim, and merging a "file" named `shard_*.ndjson` must
-/// fail operationally (exit 2), not produce an empty trace.
-fn cmd_trace_merge(out: &str, inputs: &[String]) -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    for arg in inputs {
-        match tms_verify::glob::expand(arg) {
-            Ok(paths) => {
-                if paths.is_empty() {
-                    eprintln!("tms trace merge: pattern '{arg}' matched no files");
-                    return ExitCode::from(2);
-                }
-                files.extend(paths.iter().map(|p| p.display().to_string()));
-            }
-            Err(e) => {
-                eprintln!("tms trace merge: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if files.is_empty() {
-        eprintln!("tms trace merge: no input files — nothing to merge");
-        return ExitCode::from(2);
-    }
-    match tms_trace::merge::chrome_from_spills(&files) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out, &json) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "merged {} file(s) -> {out} (load in chrome://tracing or ui.perfetto.dev)",
-                files.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("tms trace merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// same events. Inputs may be glob patterns (see
+/// [`cli::expand_inputs`]).
+fn cmd_trace_merge(out: &str, inputs: &[String]) -> Result<(), String> {
+    let files = cli::expand_inputs(inputs)?;
+    let json = tms_trace::merge::chrome_from_spills(&files).map_err(|e| e.to_string())?;
+    std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!(
+        "merged {} file(s) -> {out} (load in chrome://tracing or ui.perfetto.dev)",
+        files.len()
+    );
+    Ok(())
 }
 
 /// Resolve a `tms profile` target: a family keyword or a single named
@@ -450,14 +400,14 @@ fn parse_profile_opts(
 ) -> Result<(u32, usize, Option<String>, Option<String>), String> {
     let (mut ncore, mut top) = (4u32, 5usize);
     let (mut json_out, mut metrics_out) = (None, None);
-    let mut it = args.iter();
+    let mut it = Args::new(args.to_vec());
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--ncore" => ncore = flag_num(&mut it, "--ncore")?,
-            "--top" => top = flag_num(&mut it, "--top")?,
-            "--json" => json_out = Some(flag_str(&mut it, "--json")?.clone()),
-            "--metrics" => metrics_out = Some(flag_str(&mut it, "--metrics")?.clone()),
-            other => return Err(format!("unknown option {other:?}")),
+            "--ncore" => ncore = it.parsed("--ncore")?,
+            "--top" => top = it.parsed("--top")?,
+            "--json" => json_out = Some(it.value("--json")?),
+            "--metrics" => metrics_out = Some(it.value("--metrics")?),
+            other => return Err(cli::unknown(other)),
         }
     }
     if ncore == 0 {
@@ -472,23 +422,19 @@ fn parse_profile_opts(
 /// (scan/probe/fit/eject/force/verify), the probe-outcome breakdown,
 /// and the hottest nodes. Loops rank by placement wall time; the
 /// attribution counters underneath are deterministic (see DESIGN §10).
-fn cmd_profile(args: &[String]) -> ExitCode {
+fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
     let Some(target) = args.first() else {
-        eprintln!(
+        return Err(
             "usage: tms profile <loop|family> [--ncore N] [--top N] [--json PATH] [--metrics PATH]"
+                .to_string(),
         );
-        return ExitCode::FAILURE;
     };
-    let (ncore, top, json_out, metrics_out) = match parse_profile_opts(&args[1..]) {
-        Ok(opts) => opts,
-        Err(e) => return operational(&format!("profile: {e}")),
-    };
+    let (ncore, top, json_out, metrics_out) = parse_profile_opts(&args[1..])?;
     let Some((family, loops)) = profile_targets(target) else {
-        eprintln!(
+        return Err(format!(
             "unknown profile target '{target}' — a loop name (see `tms list`) or \
              kernels|livermore|doacross|figure1|specfp|all"
-        );
-        return ExitCode::FAILURE;
+        ));
     };
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::with_ncore(ncore);
@@ -545,7 +491,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     }
     if rows.is_empty() {
         eprintln!("tms profile: no loop in '{family}' produced a schedule");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     // Hot loops first: rank by placement wall time, ties by name so
     // the table order is stable.
@@ -587,7 +533,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     bad.extend(tms_trace::schema::missing_profile_metrics(&snap));
     if !bad.is_empty() {
         eprintln!("tms profile: metrics schema violation: {bad:?}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let counter = |name: &str| Value::UInt(snap.counters.get(name).copied().unwrap_or(0));
     let report = jobj(vec![
@@ -611,34 +557,23 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         ),
     ]);
     if let Some(path) = &json_out {
-        let text = match serde_json::to_string_pretty(&report) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("tms profile: serialise report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        let text =
+            serde_json::to_string_pretty(&report).map_err(|e| format!("serialise report: {e}"))?;
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
     if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, snap.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `tms profile diff <a.json> <b.json>` — compare two `tms-profile-v1`
 /// reports loop-by-loop: placement-time delta, eject+force share
 /// drift, and scan-count delta (the deterministic signal — a nonzero
 /// scan delta means the *search* changed, not just the clock).
-fn cmd_profile_diff(a_path: &str, b_path: &str) -> ExitCode {
+fn cmd_profile_diff(a_path: &str, b_path: &str) -> Result<(), String> {
     let load = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let v: Value = serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
@@ -647,13 +582,7 @@ fn cmd_profile_diff(a_path: &str, b_path: &str) -> ExitCode {
             _ => Err(format!("{path}: not a tms-profile-v1 report")),
         }
     };
-    let (a, b) = match (load(a_path), load(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("tms profile diff: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (a, b) = (load(a_path)?, load(b_path)?);
     let index = |v: &Value| -> std::collections::BTreeMap<String, Value> {
         v.get("loops")
             .and_then(Value::as_array)
@@ -706,7 +635,7 @@ fn cmd_profile_diff(a_path: &str, b_path: &str) -> ExitCode {
     for name in ib.keys().filter(|n| !ia.contains_key(*n)) {
         println!("{name:<22} only in {b_path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn cmd_codegen(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
@@ -730,19 +659,16 @@ fn cmd_dot(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
     Ok(())
 }
 
+const USAGE: &str =
+    "usage: tms <list|show|schedule|simulate|dot|trace|profile|codegen|export|import> [loop] [opts]
+       tms trace merge <out.json> <in.trace.ndjson>...
+       tms profile <loop|family> [--ncore N] [--top N] [--json PATH] [--metrics PATH]
+       tms profile diff <a.json> <b.json>
+see `tms list` for loop names; options: --ncore N --iters N --unroll F \
+--trace PATH --stream PATH --buffer N";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = || {
-        eprintln!(
-            "usage: tms <list|show|schedule|simulate|dot|trace|profile|codegen|export|import> [loop] [opts]\n\
-             \x20      tms trace merge <out.json> <in.trace.ndjson>...\n\
-             \x20      tms profile <loop|family> [--ncore N] [--top N] [--json PATH] [--metrics PATH]\n\
-             \x20      tms profile diff <a.json> <b.json>\n\
-             see `tms list` for loop names; options: --ncore N --iters N --unroll F \
-             --trace PATH --stream PATH --buffer N"
-        );
-        ExitCode::FAILURE
-    };
     let Some(cmd) = args.first() else {
         return usage();
     };
@@ -751,34 +677,36 @@ fn main() -> ExitCode {
             cmd_list();
             ExitCode::SUCCESS
         }
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
         "profile" => {
-            if args.get(1).map(String::as_str) == Some("diff") {
-                let (Some(a), Some(b)) = (args.get(2), args.get(3)) else {
-                    eprintln!("usage: tms profile diff <a.json> <b.json>");
-                    return ExitCode::FAILURE;
-                };
-                return cmd_profile_diff(a, b);
-            }
-            cmd_profile(&args[1..])
+            let result = if args.get(1).map(String::as_str) == Some("diff") {
+                match (args.get(2), args.get(3)) {
+                    (Some(a), Some(b)) => cmd_profile_diff(a, b).map(|()| ExitCode::SUCCESS),
+                    _ => Err("usage: tms profile diff <a.json> <b.json>".to_string()),
+                }
+            } else {
+                cmd_profile(&args[1..])
+            };
+            result.unwrap_or_else(|e| operational(&format!("profile: {e}")))
         }
         "show" | "schedule" | "simulate" | "dot" | "trace" | "codegen" => {
             if cmd == "trace" && args.get(1).map(String::as_str) == Some("merge") {
-                let (Some(out), inputs) = (args.get(2), &args[3.min(args.len())..]) else {
-                    eprintln!("usage: tms trace merge <out.json> <in.trace.ndjson>...");
-                    return ExitCode::from(2);
+                let Some(out) = args.get(2) else {
+                    return operational("usage: tms trace merge <out.json> <in.trace.ndjson>...");
                 };
-                if inputs.is_empty() {
-                    eprintln!("tms trace merge: no input files — nothing to merge");
-                    return ExitCode::from(2);
-                }
-                return cmd_trace_merge(out, inputs);
+                return match cmd_trace_merge(out, &args[3..]) {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(e) => operational(&format!("trace merge: {e}")),
+                };
             }
             let Some(name) = args.get(1) else {
                 return usage();
             };
             let Some(g) = find_loop(name) else {
-                eprintln!("unknown loop '{name}' — try `tms list`");
-                return ExitCode::FAILURE;
+                return operational(&format!("unknown loop '{name}' — try `tms list`"));
             };
             run_on_loop(cmd, &g, &args[2..])
         }
@@ -787,8 +715,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             let Some(g) = find_loop(name) else {
-                eprintln!("unknown loop '{name}'");
-                return ExitCode::FAILURE;
+                return operational(&format!("unknown loop '{name}' — try `tms list`"));
             };
             let json = match serde_json::to_string_pretty(&g) {
                 Ok(json) => json,
@@ -820,13 +747,18 @@ fn main() -> ExitCode {
             }
             run_on_loop(sub, &g, &args[3..])
         }
-        _ => usage(),
+        other => operational(&format!("unknown command {other:?}\n{USAGE}")),
     }
 }
 
-/// Operational or malformed-input failure: `tms: <why>`, exit 2 — the
-/// same contract as `tms-verify` and `tmsd`. Panics are reserved for
-/// bugs.
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
+
+/// Usage, input or I/O failure: `tms: <why>`, exit 2 — the contract
+/// every binary shares (see `tms_verify::cli`). Exit 1 is reserved for
+/// a failed check, panics for bugs.
 fn operational(msg: &str) -> ExitCode {
     eprintln!("tms: {msg}");
     ExitCode::from(2)

@@ -18,6 +18,7 @@ use tms_core::par::Parallelism;
 use tms_daemon::{run_soak, serve, DaemonConfig, SoakConfig};
 use tms_faults::{FaultPlan, FaultRates};
 use tms_trace::Trace;
+use tms_verify::cli::{self, Args};
 
 const USAGE: &str = "usage: tmsd <serve|soak> [options]
   serve --addr HOST:PORT   listen address (default 127.0.0.1:9008)
@@ -38,35 +39,7 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Seeds accept hex (`0x...`) or decimal — the same convention as
-/// `tms-verify --faults`.
-fn parse_seed(flag: &str, text: &str) -> Result<u64, String> {
-    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    }
-    .map_err(|_| format!("{flag}: invalid seed {text:?} (hex 0x... or decimal)"))
-}
-
-struct ArgStream {
-    args: std::vec::IntoIter<String>,
-}
-
-impl ArgStream {
-    fn value(&mut self, flag: &str) -> Result<String, String> {
-        self.args
-            .next()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    }
-
-    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
-        let v = self.value(flag)?;
-        v.parse()
-            .map_err(|_| format!("{flag}: invalid value {v:?}"))
-    }
-}
-
-fn cmd_serve(mut args: ArgStream) -> Result<(), String> {
+fn cmd_serve(mut args: Args) -> Result<(), String> {
     let mut cfg = DaemonConfig {
         addr: "127.0.0.1:9008".to_string(),
         ..DaemonConfig::default()
@@ -74,15 +47,12 @@ fn cmd_serve(mut args: ArgStream) -> Result<(), String> {
     if let Some(jobs) = Parallelism::from_env()? {
         cfg.jobs = jobs;
     }
-    while let Some(arg) = args.args.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => cfg.addr = args.value("--addr")?,
             "--queue-cap" => cfg.queue_cap = args.parsed("--queue-cap")?,
             "--batch-max" => cfg.batch_max = args.parsed("--batch-max")?,
-            "--jobs" => {
-                cfg.jobs = Parallelism::parse_jobs(&args.value("--jobs")?)
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
+            "--jobs" => cfg.jobs = args.jobs("--jobs")?,
             "--cache" => cfg.cache_path = Some(args.value("--cache")?.into()),
             "--deadline-ms" => {
                 cfg.deadline = Some(std::time::Duration::from_millis(
@@ -90,10 +60,9 @@ fn cmd_serve(mut args: ArgStream) -> Result<(), String> {
                 ))
             }
             "--faults" => {
-                let seed = parse_seed("--faults", &args.value("--faults")?)?;
-                cfg.plan = FaultPlan::with_rates(seed, FaultRates::default())
+                cfg.plan = FaultPlan::with_rates(args.seed("--faults")?, FaultRates::default())
             }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => return Err(format!("{}\n{USAGE}", cli::unknown(other))),
         }
     }
     serve(&cfg, Trace::enabled(), |addr| {
@@ -101,16 +70,16 @@ fn cmd_serve(mut args: ArgStream) -> Result<(), String> {
     })
 }
 
-fn cmd_soak(mut args: ArgStream) -> Result<ExitCode, String> {
+fn cmd_soak(mut args: Args) -> Result<ExitCode, String> {
     let mut cfg = SoakConfig::default();
-    while let Some(arg) = args.args.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--requests" => cfg.requests = args.parsed("--requests")?,
-            "--seed" | "--faults" => cfg.seed = parse_seed(&arg, &args.value(&arg)?)?,
+            "--seed" | "--faults" => cfg.seed = args.seed(&arg)?,
             "--addr" => cfg.addr = Some(args.value("--addr")?),
             "--queue-cap" => cfg.queue_cap = args.parsed("--queue-cap")?,
             "--no-shutdown" => cfg.shutdown = false,
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => return Err(format!("{}\n{USAGE}", cli::unknown(other))),
         }
     }
     let report = run_soak(&cfg)?;
@@ -123,17 +92,16 @@ fn cmd_soak(mut args: ArgStream) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1).collect::<Vec<_>>().into_iter();
+    let mut args = Args::new(std::env::args().skip(1).collect());
     let Some(cmd) = args.next() else {
         return fail(USAGE);
     };
-    let stream = ArgStream { args };
     match cmd.as_str() {
-        "serve" => match cmd_serve(stream) {
+        "serve" => match cmd_serve(args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e),
         },
-        "soak" => match cmd_soak(stream) {
+        "soak" => match cmd_soak(args) {
             Ok(code) => code,
             Err(e) => fail(&e),
         },
