@@ -27,7 +27,14 @@ use tms_bench::throughput::{render, run, write, ThroughputConfig};
 use tms_core::par::Parallelism;
 use tms_verify::cli::{self, Args};
 
+const USAGE: &str = "sched-throughput [--jobs N] [--fuzz N] [--seed S] [--out PATH] [--smoke] \
+                     [--gate PATH] [--write-baseline PATH]";
+
 fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(code) = cli::help(&argv, USAGE) {
+        return code;
+    }
     let mut cfg = ThroughputConfig {
         jobs: Parallelism::Auto,
         ..Default::default()
@@ -43,7 +50,7 @@ fn main() -> ExitCode {
     let mut out = PathBuf::from("results/bench_sched.json");
     let mut gate: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut it = Args::new(std::env::args().skip(1).collect());
+    let mut it = Args::new(argv);
     while let Some(flag) = it.next() {
         let r = match flag.as_str() {
             "--jobs" => it.jobs("--jobs").map(|p| cfg.jobs = p),
@@ -58,13 +65,6 @@ fn main() -> ExitCode {
             "--write-baseline" => it
                 .value("--write-baseline")
                 .map(|p| write_baseline = Some(PathBuf::from(p))),
-            "--help" | "-h" => {
-                println!(
-                    "sched-throughput [--jobs N] [--fuzz N] [--seed S] [--out PATH] [--smoke] \
-                     [--gate PATH] [--write-baseline PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
             other => Err(cli::unknown(other)),
         };
         if let Err(e) = r {

@@ -24,10 +24,11 @@
 use crate::addr::AddressMap;
 use crate::cache::CacheHierarchy;
 use crate::config::SimConfig;
+use crate::hash::{FastMap, MemoryImage};
 use crate::program::ThreadProgram;
 use crate::stats::SimStats;
 use crate::trace::{RunTrace, ThreadTrace};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tms_core::postpass::CommPlan;
 use tms_core::schedule::Schedule;
 use tms_ddg::{Ddg, InstId};
@@ -42,19 +43,168 @@ pub struct SpmtOutcome {
     /// Final memory image: address → `(store inst, original iteration)`
     /// of the program-order-last committed store. Compared against the
     /// sequential reference to validate squash/replay bookkeeping.
-    pub memory_image: HashMap<u64, (InstId, u64)>,
+    pub memory_image: MemoryImage,
     /// Per-thread timeline records (when `SimConfig::collect_trace`).
     pub trace: Option<RunTrace>,
 }
 
-/// Result of executing one thread once.
-struct ThreadRun {
+/// Per-op and per-access buffers of one thread run, allocated once per
+/// simulation and refilled by every [`exec_thread`] call (threads and
+/// replays alike).
+struct ThreadBufs {
+    /// Completion time per op (`None`: the op is outside the iteration
+    /// range in this thread).
+    completes: Vec<Option<u64>>,
     /// Send time per op (value ready + 1 for the SEND slot).
     sends: Vec<Option<u64>>,
     /// Loads performed: `(addr, issue time)`.
     loads: Vec<(u64, u64)>,
     /// Stores performed: `(addr, write time, inst, orig iter)`.
     stores: Vec<(u64, u64, InstId, u64)>,
+}
+
+impl ThreadBufs {
+    fn new(n_ops: usize) -> Self {
+        ThreadBufs {
+            completes: vec![None; n_ops],
+            sends: vec![None; n_ops],
+            loads: Vec::new(),
+            stores: Vec::new(),
+        }
+    }
+}
+
+/// Arrival times of the inter-thread register values bound for one
+/// thread, as a flat `(producer op, hop)` table: slot
+/// `op * stride + hop`, with `stride` one more than the largest hop
+/// count of any SEND or RECV (slot 0 of each op is unused). Two tables,
+/// this thread's and the previous one's, are swapped between threads.
+struct Arrivals {
+    stride: usize,
+    at: Vec<Option<u64>>,
+}
+
+impl Arrivals {
+    fn new(program: &ThreadProgram) -> Self {
+        let max_hop = program
+            .sends
+            .iter()
+            .map(|&(_, h)| h)
+            .chain(
+                program
+                    .ops
+                    .iter()
+                    .flat_map(|op| op.comm_deps.iter().map(|&(_, h)| h)),
+            )
+            .max()
+            .unwrap_or(0);
+        let stride = max_hop as usize + 1;
+        Arrivals {
+            stride,
+            at: vec![None; program.ops.len() * stride],
+        }
+    }
+
+    #[inline]
+    fn get(&self, op: usize, hop: u32) -> Option<u64> {
+        self.at[op * self.stride + hop as usize]
+    }
+
+    #[inline]
+    fn set(&mut self, op: usize, hop: u32, t: Option<u64>) {
+        self.at[op * self.stride + hop as usize] = t;
+    }
+}
+
+/// Sentinel of [`LoggedStore::prev`]: no older store to the address.
+const NO_STORE: u64 = u64::MAX;
+
+/// One committed store in the [`StoreLog`].
+struct LoggedStore {
+    addr: u64,
+    /// Cycle the store wrote.
+    t_w: u64,
+    /// Log index of the previous logged store to `addr`, or
+    /// [`NO_STORE`].
+    prev: u64,
+}
+
+/// Committed stores of the threads inside the overlap window, for
+/// violation detection.
+///
+/// Stores are logged in commit order and retire in commit order (whole
+/// threads, oldest first), so the log is a FIFO ring. Every store gets a
+/// log index (`base` + its ring position); each store links to the
+/// previous store to its address, and `newest` maps an address to its
+/// newest store, so a lookup walks exactly the logged stores to that
+/// address. A link below `base` points at a retired store and ends the
+/// walk.
+struct StoreLog {
+    stores: VecDeque<LoggedStore>,
+    /// Log index of `stores[0]`.
+    base: u64,
+    newest: FastMap<u64, u64>,
+    /// `(thread, stores logged)` per logged thread, oldest first.
+    threads: VecDeque<(u64, usize)>,
+}
+
+impl StoreLog {
+    fn new() -> Self {
+        StoreLog {
+            stores: VecDeque::new(),
+            base: 0,
+            newest: FastMap::default(),
+            threads: VecDeque::new(),
+        }
+    }
+
+    /// Latest write time among logged stores to `addr` later than
+    /// `t_r`.
+    fn latest_write_after(&self, addr: u64, t_r: u64) -> Option<u64> {
+        let mut latest = None;
+        let mut i = *self.newest.get(&addr)?;
+        while i != NO_STORE && i >= self.base {
+            let s = &self.stores[(i - self.base) as usize];
+            if s.t_w > t_r {
+                latest = latest.max(Some(s.t_w));
+            }
+            i = s.prev;
+        }
+        latest
+    }
+
+    /// Log thread `k`'s committed stores.
+    fn push_thread(&mut self, k: u64, stores: &[(u64, u64, InstId, u64)]) {
+        for &(addr, t_w, _, _) in stores {
+            let i = self.base + self.stores.len() as u64;
+            let prev = self.newest.insert(addr, i).unwrap_or(NO_STORE);
+            self.stores.push_back(LoggedStore { addr, t_w, prev });
+        }
+        self.threads.push_back((k, stores.len()));
+    }
+
+    /// Retire every thread at least `keep_window` older than `k`.
+    fn prune(&mut self, k: u64, keep_window: u64, tracer: &Trace) {
+        while let Some(&(old_k, n)) = self.threads.front() {
+            if k - old_k < keep_window {
+                break;
+            }
+            self.threads.pop_front();
+            tracer.count("sim.prune.popped", 1);
+            for _ in 0..n {
+                let s = self.stores.pop_front().expect("thread's stores are logged");
+                if self.newest.get(&s.addr) == Some(&self.base) {
+                    self.newest.remove(&s.addr);
+                }
+                self.base += 1;
+            }
+        }
+    }
+}
+
+/// Result of executing one thread once; its per-op and per-access
+/// outputs are left in the [`ThreadBufs`].
+struct ThreadRun {
     /// End of the thread (max completion, or start when empty).
     end: u64,
     /// RECV stall cycles.
@@ -139,7 +289,7 @@ pub fn simulate_spmt_injected(
     let ncore = config.arch.ncore as usize;
 
     let mut stats = SimStats::default();
-    let mut memory_image: HashMap<u64, (InstId, u64)> = HashMap::new();
+    let mut memory_image = MemoryImage::default();
     let mut trace = config.collect_trace.then(RunTrace::default);
     let total_threads = if config.n_iter == 0 {
         0
@@ -151,16 +301,14 @@ pub fn simulate_spmt_injected(
     let mut prev_start = 0u64;
     let mut prev_commit_end = 0u64;
     let mut restart_floor = 0u64;
+    let c_reg_com = costs.c_reg_com as u64;
+    let mut bufs = ThreadBufs::new(program.ops.len());
     let mut prev_sends: Vec<Option<u64>> = vec![None; program.ops.len()];
-    let mut prev_arrivals: HashMap<(usize, u32), u64> = HashMap::new();
+    let mut arrivals = Arrivals::new(&program);
+    let mut prev_arrivals = Arrivals::new(&program);
     // Store log for violation detection, pruned to the window in which
     // overlap is possible.
-    let mut store_log: HashMap<u64, Vec<(u64, u64)>> = HashMap::new(); // addr -> (thread, time)
-                                                                       // (thread, addrs) in commit order, for pruning. A deque: threads
-                                                                       // retire strictly oldest-first, and `pop_front` keeps each
-                                                                       // retirement O(1) (a `Vec::remove(0)` here made pruning O(n²)
-                                                                       // across a long run).
-    let mut log_threads: VecDeque<(u64, Vec<u64>)> = VecDeque::new();
+    let mut store_log = StoreLog::new();
     let keep_window = (ncore as u64 + program.stages as u64 + 4).max(8);
 
     for k in 0..total_threads {
@@ -182,26 +330,28 @@ pub fn simulate_spmt_injected(
         prev_start = start;
 
         // Arrival times of inter-thread register values for thread k.
-        let mut arrivals: HashMap<(usize, u32), u64> = HashMap::new();
+        // Every slot a SEND can fill is rewritten, so nothing of the
+        // table's previous use survives.
+        let mut any_arrival = false;
         for &(op, hops) in &program.sends {
-            if let Some(t) = prev_sends[op] {
-                arrivals.insert((op, 1), t + costs.c_reg_com as u64);
-            }
+            let t = prev_sends[op].map(|t| t + c_reg_com);
+            any_arrival |= t.is_some();
+            arrivals.set(op, 1, t);
             for h in 2..=hops {
-                if let Some(&t) = prev_arrivals.get(&(op, h - 1)) {
-                    // Relay copy in the previous thread re-sends.
-                    arrivals.insert((op, h), t + 1 + costs.c_reg_com as u64);
-                }
+                // Relay copy in the previous thread re-sends.
+                let t = prev_arrivals.get(op, h - 1).map(|t| t + 1 + c_reg_com);
+                any_arrival |= t.is_some();
+                arrivals.set(op, h, t);
             }
         }
-        if faults.is_enabled() && !arrivals.is_empty() {
+        if faults.is_enabled() && any_arrival {
             // Injected ring-queue contention: every value bound for this
-            // thread is uniformly late. Applied to the arrival map (not
+            // thread is uniformly late. Applied to the arrival table (not
             // per-op) so relays downstream see the same times the clean
             // run recorded.
             let extra = faults.stall_jitter(ddg.name(), k);
             if extra > 0 {
-                for t in arrivals.values_mut() {
+                for t in arrivals.at.iter_mut().flatten() {
                     *t += extra;
                 }
             }
@@ -224,6 +374,7 @@ pub fn simulate_spmt_injected(
                 run_start,
                 &arrivals,
                 values_resident,
+                &mut bufs,
             );
             if !config.detect_violations {
                 break run;
@@ -231,14 +382,8 @@ pub fn simulate_spmt_injected(
             // A load that issued before an older thread's store to the
             // same address read stale data.
             let mut detect: Option<u64> = None;
-            for &(a, t_r) in &run.loads {
-                if let Some(writes) = store_log.get(&a) {
-                    for &(_, t_w) in writes {
-                        if t_w > t_r {
-                            detect = Some(detect.map_or(t_w, |d: u64| d.max(t_w)));
-                        }
-                    }
-                }
+            for &(a, t_r) in &bufs.loads {
+                detect = detect.max(store_log.latest_write_after(a, t_r));
             }
             if detect.is_none() && faults.forced_misspec(ddg.name(), k) {
                 // Injected misspeculation burst: squash a clean thread
@@ -270,7 +415,7 @@ pub fn simulate_spmt_injected(
         // overflows the buffer serialises one extra cycle per excess
         // store into its commit.
         let overflow =
-            (run.stores.len() as u64).saturating_sub(config.arch.spec_write_buffer_entries as u64);
+            (bufs.stores.len() as u64).saturating_sub(config.arch.spec_write_buffer_entries as u64);
         let commit_end = run.end.max(prev_commit_end) + costs.c_ci as u64 + overflow;
         stats.commit_cycles += costs.c_ci as u64 + overflow;
         stats.committed_threads += 1;
@@ -295,39 +440,20 @@ pub fn simulate_spmt_injected(
         core_free[core] = run.end;
 
         // Record committed stores.
-        let mut addrs = Vec::with_capacity(run.stores.len());
-        for &(a, t_w, inst, iter) in &run.stores {
-            store_log.entry(a).or_default().push((k, t_w));
-            addrs.push(a);
+        for &(a, _, inst, iter) in &bufs.stores {
             // Program-order-last writer wins: (iter, inst id).
-            match memory_image.get(&a) {
-                Some(&(pi, pit)) if (pit, pi) > (iter, inst) => {}
-                _ => {
-                    memory_image.insert(a, (inst, iter));
-                }
+            let last = memory_image.entry(a).or_insert((inst, iter));
+            if (last.1, last.0) < (iter, inst) {
+                *last = (inst, iter);
             }
         }
-        log_threads.push_back((k, addrs));
+        store_log.push_thread(k, &bufs.stores);
         // Prune the store log outside the overlap window.
-        while let Some(&(old_k, _)) = log_threads.front() {
-            if k - old_k < keep_window {
-                break;
-            }
-            let (_, addrs) = log_threads.pop_front().expect("front exists");
-            tracer.count("sim.prune.popped", 1);
-            for a in addrs {
-                if let Some(v) = store_log.get_mut(&a) {
-                    v.retain(|&(tk, _)| tk != old_k);
-                    if v.is_empty() {
-                        store_log.remove(&a);
-                    }
-                }
-            }
-        }
+        store_log.prune(k, keep_window, tracer);
         if tracer.is_enabled() {
             // Bounded-window regression check: after pruning, the log
             // spans at most `keep_window` distinct committed threads.
-            tracer.record("sim.prune.log_len", log_threads.len() as u64);
+            tracer.record("sim.prune.log_len", store_log.threads.len() as u64);
         }
 
         if let Some(tr) = trace.as_mut() {
@@ -372,7 +498,7 @@ pub fn simulate_spmt_injected(
                 || "sim.prune.log_len".to_string(),
                 0,
                 commit_end,
-                log_threads.len() as u64,
+                store_log.threads.len() as u64,
             );
             tracer.counter_sample(
                 "sim.vcounter",
@@ -390,8 +516,8 @@ pub fn simulate_spmt_injected(
             );
         }
 
-        prev_sends = run.sends;
-        prev_arrivals = arrivals;
+        std::mem::swap(&mut prev_sends, &mut bufs.sends);
+        std::mem::swap(&mut prev_arrivals, &mut arrivals);
         stats.total_cycles = commit_end;
     }
 
@@ -405,7 +531,8 @@ pub fn simulate_spmt_injected(
     }
 }
 
-/// Execute one thread from `start`, returning its timeline.
+/// Execute one thread from `start`, returning its timeline; its
+/// completions, sends, loads and stores are left in `bufs`.
 #[allow(clippy::too_many_arguments)]
 fn exec_thread(
     ddg: &Ddg,
@@ -416,14 +543,20 @@ fn exec_thread(
     core: usize,
     k: u64,
     start: u64,
-    arrivals: &HashMap<(usize, u32), u64>,
+    arrivals: &Arrivals,
     values_resident: bool,
+    bufs: &mut ThreadBufs,
 ) -> ThreadRun {
-    let n_ops = program.ops.len();
-    let mut completes: Vec<Option<u64>> = vec![None; n_ops];
-    let mut sends: Vec<Option<u64>> = vec![None; n_ops];
-    let mut loads = Vec::new();
-    let mut stores = Vec::new();
+    let ThreadBufs {
+        completes,
+        sends,
+        loads,
+        stores,
+    } = bufs;
+    completes.fill(None);
+    sends.fill(None);
+    loads.clear();
+    stores.clear();
     let mut sync_stall = 0u64;
     let mut local_stall = 0u64;
     let mut end = start;
@@ -446,7 +579,7 @@ fn exec_thread(
         if !values_resident {
             for &(p, h) in &op.comm_deps {
                 if k >= h as u64 {
-                    if let Some(&t) = arrivals.get(&(p, h)) {
+                    if let Some(t) = arrivals.get(p, h) {
                         ready_comm = ready_comm.max(t);
                     }
                 }
@@ -508,9 +641,6 @@ fn exec_thread(
     end += backpressure;
 
     ThreadRun {
-        sends,
-        loads,
-        stores,
         end,
         sync_stall,
         local_stall,
@@ -852,6 +982,44 @@ mod tests {
             clean.stats.total_cycles
         );
         assert!(out.stats.sync_stall_cycles > clean.stats.sync_stall_cycles);
+    }
+
+    #[test]
+    fn store_log_matches_a_naive_window() {
+        // Threads commit 0..3 stores each over a few hot addresses; the
+        // ring's lookups must equal a scan over the same window.
+        let mut log = StoreLog::new();
+        let mut naive: Vec<(u64, u64, u64)> = Vec::new(); // (thread, addr, t_w)
+        let keep_window = 5;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for k in 0..400u64 {
+            for a in 0..6u64 {
+                let t_r = next() % 200;
+                let want = naive
+                    .iter()
+                    .filter(|&&(_, na, t_w)| na == a && t_w > t_r)
+                    .map(|&(_, _, t_w)| t_w)
+                    .max();
+                assert_eq!(log.latest_write_after(a, t_r), want, "thread {k} addr {a}");
+            }
+            let stores: Vec<(u64, u64, InstId, u64)> = (0..next() % 4)
+                .map(|_| (next() % 6, next() % 200, InstId(0), k))
+                .collect();
+            naive.extend(stores.iter().map(|&(a, t_w, _, _)| (k, a, t_w)));
+            log.push_thread(k, &stores);
+            log.prune(k, keep_window, &Trace::disabled());
+            naive.retain(|&(tk, _, _)| k - tk < keep_window);
+            assert_eq!(log.stores.len(), naive.len());
+            assert!(log.threads.len() as u64 <= keep_window);
+        }
+        // Only addresses with a logged store keep a map entry.
+        assert!(log.newest.len() <= 6);
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod addr;
 pub mod cache;
 pub mod config;
 pub mod engine;
+mod hash;
 pub mod program;
 pub mod seq;
 pub mod stats;
@@ -39,6 +40,7 @@ pub mod trace;
 
 pub use config::SimConfig;
 pub use engine::{simulate_spmt, simulate_spmt_injected, simulate_spmt_traced, SpmtOutcome};
+pub use hash::MemoryImage;
 pub use seq::{simulate_sequential, SeqOutcome};
 pub use stats::SimStats;
 pub use trace::{RunTrace, ThreadTrace};

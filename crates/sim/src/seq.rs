@@ -13,8 +13,9 @@
 use crate::addr::AddressMap;
 use crate::cache::CacheHierarchy;
 use crate::config::SimConfig;
-use std::collections::HashMap;
-use tms_ddg::{Ddg, InstId};
+use crate::hash::MemoryImage;
+use std::collections::VecDeque;
+use tms_ddg::Ddg;
 use tms_machine::{MachineModel, ResourceClass};
 
 /// Reorder-buffer capacity of the baseline core. Table 1 does not list
@@ -39,7 +40,7 @@ pub struct SeqOutcome {
     pub total_cycles: u64,
     /// Final memory image: address → `(store inst, iteration)` of the
     /// program-order-last store.
-    pub memory_image: HashMap<u64, (InstId, u64)>,
+    pub memory_image: MemoryImage,
     /// Cache counters `[l1_hits, l2_hits, misses]`.
     pub cache_counts: [u64; 3],
 }
@@ -48,31 +49,60 @@ pub struct SeqOutcome {
 /// cycle, claims may arrive in any order (an OoO scheduler issues the
 /// earliest-ready op first, so pool assignment must not depend on
 /// program order).
+///
+/// The counts live in a sliding window: `used[i]` is the number of
+/// issues at cycle `base + i`. The window is trimmed from the front to
+/// the current dispatch cycle before each claim. That is safe because
+/// dispatch never decreases along the instance stream and every claim is
+/// made at `ready ≥ dispatch`, so a cycle below the current dispatch can
+/// never be claimed again. The window therefore spans only how far
+/// execution runs ahead of dispatch, not the whole run.
 #[derive(Debug, Clone)]
 struct UnitPool {
     units: u32,
-    used: HashMap<u64, u32>,
+    base: u64,
+    used: VecDeque<u32>,
 }
 
 impl UnitPool {
     fn new(units: u32) -> Self {
         UnitPool {
             units: units.max(1),
-            used: HashMap::new(),
+            base: 0,
+            used: VecDeque::new(),
         }
     }
 
     /// Claim an issue slot at the first cycle ≥ `t` with spare
-    /// capacity; returns that cycle.
-    fn claim(&mut self, t: u64) -> u64 {
-        let mut c = t;
-        loop {
-            let e = self.used.entry(c).or_insert(0);
-            if *e < self.units {
-                *e += 1;
-                return c;
+    /// capacity; returns that cycle. `dispatch` is the claiming
+    /// instance's dispatch cycle (`t ≥ dispatch`, and no later claim
+    /// dispatches earlier): cycles below it are dropped from the window.
+    fn claim(&mut self, dispatch: u64, t: u64) -> u64 {
+        debug_assert!(
+            dispatch >= self.base && t >= dispatch,
+            "claims must be dispatch-monotone: base {} dispatch {dispatch} t {t}",
+            self.base
+        );
+        while self.base < dispatch {
+            if self.used.pop_front().is_none() {
+                self.base = dispatch;
+                break;
             }
-            c += 1;
+            self.base += 1;
+        }
+        let mut i = (t - self.base) as usize;
+        if i >= self.used.len() {
+            self.used.resize(i + 1, 0);
+        }
+        loop {
+            if self.used[i] < self.units {
+                self.used[i] += 1;
+                return self.base + i as u64;
+            }
+            i += 1;
+            if i == self.used.len() {
+                self.used.push_back(0);
+            }
         }
     }
 }
@@ -82,7 +112,7 @@ pub fn simulate_sequential(ddg: &Ddg, machine: &MachineModel, config: &SimConfig
     let n = ddg.num_insts();
     let addr_map = AddressMap::new(ddg, config.seed);
     let mut caches = CacheHierarchy::new(config.arch.cache, 1);
-    let mut memory_image: HashMap<u64, (InstId, u64)> = HashMap::new();
+    let mut memory_image = MemoryImage::default();
 
     let width = machine.issue_width.clamp(1, 64) as u64;
     let mut pools: Vec<UnitPool> = ResourceClass::ALL
@@ -125,6 +155,8 @@ pub fn simulate_sequential(ddg: &Ddg, machine: &MachineModel, config: &SimConfig
 
             // --- Operand readiness from register/memory dependences.
             let mut ready = dispatch;
+            // This instance's address, computed on first use.
+            let mut addr: Option<u64> = None;
             for (_, e) in ddg.pred_edges(id) {
                 if !(e.is_register_flow() || e.is_memory_flow()) {
                     continue;
@@ -136,13 +168,15 @@ pub fn simulate_sequential(ddg: &Ddg, machine: &MachineModel, config: &SimConfig
                 if e.kind == tms_ddg::DepKind::Memory {
                     // Only a real address match forwards through memory
                     // (dynamic disambiguation, as the OoO core would).
-                    let a_y = addr_map.addr(ddg, id, iter);
+                    let a_y = *addr.get_or_insert_with(|| addr_map.addr(ddg, id, iter));
                     let a_x = addr_map.addr(ddg, e.src, iter - d);
                     if a_y != a_x {
                         continue;
                     }
                 }
-                let src_slot = ((iter - d) as usize) % hist;
+                // `d < hist`: the source's slot is `d` slots back.
+                let d = d as usize;
+                let src_slot = if slot >= d { slot - d } else { slot + hist - d };
                 ready = ready.max(completes[src_slot * n + e.src.index()]);
             }
 
@@ -152,12 +186,12 @@ pub fn simulate_sequential(ddg: &Ddg, machine: &MachineModel, config: &SimConfig
                 ready = ready.max(start_hist[k % SCHED_WINDOW]);
             }
             let class = ResourceClass::for_op(inst.op);
-            let start = pools[class.index()].claim(ready);
+            let start = pools[class.index()].claim(dispatch, ready);
             start_hist[k % SCHED_WINDOW] = start;
 
             let mut lat = inst.latency as u64;
             if inst.op.is_memory() {
-                let a = addr_map.addr(ddg, id, iter);
+                let a = addr.unwrap_or_else(|| addr_map.addr(ddg, id, iter));
                 if config.model_caches {
                     let (l, _) = caches.access(0, a);
                     if inst.op.is_load() {
@@ -166,11 +200,9 @@ pub fn simulate_sequential(ddg: &Ddg, machine: &MachineModel, config: &SimConfig
                 }
                 if inst.op.is_store() {
                     lat = 1;
-                    match memory_image.get(&a) {
-                        Some(&(pi, pit)) if (pit, pi) > (iter, id) => {}
-                        _ => {
-                            memory_image.insert(a, (id, iter));
-                        }
+                    let last = memory_image.entry(a).or_insert((id, iter));
+                    if (last.1, last.0) < (iter, id) {
+                        *last = (id, iter);
                     }
                 }
             }
@@ -217,6 +249,30 @@ mod tests {
         b.reg_flow(l, f, 0);
         b.reg_flow(f, s, 0);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn unit_pool_window_matches_unbounded_counts() {
+        // Dispatch-monotone claims (each at or after its dispatch) land
+        // where an untrimmed per-cycle count would put them.
+        let mut pool = UnitPool::new(2);
+        let mut all: std::collections::HashMap<u64, u32> = Default::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut dispatch = 0u64;
+        for _ in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            dispatch += x % 3;
+            let t = dispatch + (x >> 8) % 40;
+            let mut want = t;
+            while all.get(&want).copied().unwrap_or(0) >= 2 {
+                want += 1;
+            }
+            *all.entry(want).or_insert(0) += 1;
+            assert_eq!(pool.claim(dispatch, t), want);
+        }
+        assert!(pool.used.len() < 100, "window {} cycles", pool.used.len());
     }
 
     #[test]

@@ -110,10 +110,7 @@ impl LoopVerdict {
 
 /// Count of addresses whose final `(store, iteration)` differ between
 /// two memory images (in either direction).
-fn image_diff(
-    a: &std::collections::HashMap<u64, (tms_ddg::InstId, u64)>,
-    b: &std::collections::HashMap<u64, (tms_ddg::InstId, u64)>,
-) -> usize {
+fn image_diff(a: &tms_sim::MemoryImage, b: &tms_sim::MemoryImage) -> usize {
     let mut n = a.iter().filter(|(k, v)| b.get(*k) != Some(*v)).count();
     n += b.keys().filter(|k| !a.contains_key(*k)).count();
     n

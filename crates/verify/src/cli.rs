@@ -9,8 +9,13 @@
 //! Exit-code contract of every binary: 0 success, 1 a check failed
 //! (verification violations, a perf gate, a soak invariant), 2 a usage,
 //! input or I/O error — every `Err` produced here ends in exit 2.
+//!
+//! Help is handled here too, once for every binary and subcommand:
+//! [`help`] runs before any parsing, so `--help` never reaches a flag
+//! `match` as an unknown option.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 use tms_core::par::Parallelism;
 
 /// A cursor over the remaining command-line arguments. Iterating yields
@@ -67,6 +72,21 @@ impl Iterator for Args {
     }
 }
 
+/// Whether `args` (the program name already stripped) ask for help:
+/// `--help` or `-h` anywhere, or `help` as the first word.
+pub fn wants_help(args: &[String]) -> bool {
+    args.first().is_some_and(|a| a == "help") || args.iter().any(|a| a == "--help" || a == "-h")
+}
+
+/// If `args` ask for help ([`wants_help`]), print `usage` to standard
+/// output and return exit 0; the caller returns that code at once.
+pub fn help(args: &[String], usage: &str) -> Option<ExitCode> {
+    wants_help(args).then(|| {
+        println!("{usage}");
+        ExitCode::SUCCESS
+    })
+}
+
 /// The error for a flag the binary does not know.
 pub fn unknown(flag: &str) -> String {
     format!("unknown option {flag:?}")
@@ -112,6 +132,19 @@ mod tests {
         a.next();
         assert_eq!(a.value("--n"), Err("--n needs a value".to_string()));
         assert_eq!(unknown("--bogus"), "unknown option \"--bogus\"");
+    }
+
+    #[test]
+    fn help_is_asked_anywhere_on_the_line() {
+        let v = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(wants_help(&v(&["--help"])));
+        assert!(wants_help(&v(&["help"])));
+        assert!(wants_help(&v(&["schedule", "figure1", "--help"])));
+        assert!(wants_help(&v(&["serve", "-h"])));
+        assert!(!wants_help(&v(&[])));
+        assert!(!wants_help(&v(&["schedule", "help"])));
+        assert!(!wants_help(&v(&["--helpful"])));
+        assert!(help(&v(&["soak"]), "usage").is_none());
     }
 
     #[test]

@@ -56,8 +56,7 @@ impl Default for Args {
     }
 }
 
-fn usage() -> String {
-    "tms-verify [--fuzz N] [--seed S] [--out PATH] [--sim-iters N] \
+const USAGE: &str = "tms-verify [--fuzz N] [--seed S] [--out PATH] [--sim-iters N] \
      [--specfp-cap N] [--jobs N] [--no-sim] [--quick] [--shard I/N] \
      [--trace PATH] [--stream PATH] [--stream-buffer N] \
      [--metrics PATH] [--snapshot PATH] [--faults SEED]\n\
@@ -97,9 +96,11 @@ fn usage() -> String {
      merge-metrics  fold per-shard snapshot/metrics JSON files into\n\
                     one snapshot (stdout, or --out PATH). FILE may be a\n\
                     filename glob (* / ? in the final component); zero\n\
-                    inputs or a pattern matching nothing exits 2"
-        .to_string()
-}
+                    inputs or a pattern matching nothing exits 2";
+
+const MERGE_USAGE: &str = "tms-verify merge-metrics [--out PATH] FILE...
+FILE may be a filename glob (* / ? in the final component);
+zero inputs or a pattern matching nothing exits 2";
 
 fn parse_shard(text: &str) -> Result<(u32, u32), String> {
     let (i, n) = text
@@ -141,10 +142,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--metrics" => args.metrics_out = Some(PathBuf::from(it.value("--metrics")?)),
             "--snapshot" => args.snapshot_out = Some(PathBuf::from(it.value("--snapshot")?)),
             "--faults" => args.faults_seed = Some(it.seed("--faults")?),
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
             other => return Err(cli::unknown(other)),
         }
     }
@@ -162,15 +159,6 @@ fn cmd_merge_metrics(argv: Vec<String>) -> Result<(), String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => out = Some(PathBuf::from(it.value("--out")?)),
-            "--help" | "-h" => {
-                println!(
-                    "tms-verify merge-metrics [--out PATH] FILE...\n\
-                     FILE may be a filename glob (* / ? in the final \
-                     component);\nzero inputs or a pattern matching \
-                     nothing exits 2"
-                );
-                return Ok(());
-            }
             flag if flag.starts_with('-') => return Err(cli::unknown(flag)),
             _ => inputs.push(a),
         }
@@ -196,6 +184,9 @@ fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("merge-metrics") {
         argv.remove(0);
+        if let Some(code) = cli::help(&argv, MERGE_USAGE) {
+            return code;
+        }
         return match cmd_merge_metrics(argv) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -203,6 +194,9 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         };
+    }
+    if let Some(code) = cli::help(&argv, USAGE) {
+        return code;
     }
 
     let mut args = match parse_args(argv) {

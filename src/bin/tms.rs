@@ -669,16 +669,15 @@ see `tms list` for loop names; options: --ncore N --iters N --unroll F \
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(code) = cli::help(&args, USAGE) {
+        return code;
+    }
     let Some(cmd) = args.first() else {
         return usage();
     };
     match cmd.as_str() {
         "list" => {
             cmd_list();
-            ExitCode::SUCCESS
-        }
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
             ExitCode::SUCCESS
         }
         "profile" => {

@@ -92,7 +92,11 @@ fn cmd_soak(mut args: Args) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = Args::new(std::env::args().skip(1).collect());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(code) = cli::help(&argv, USAGE) {
+        return code;
+    }
+    let mut args = Args::new(argv);
     let Some(cmd) = args.next() else {
         return fail(USAGE);
     };
@@ -105,10 +109,6 @@ fn main() -> ExitCode {
             Ok(code) => code,
             Err(e) => fail(&e),
         },
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
         other => fail(&format!("unknown command {other:?}\n{USAGE}")),
     }
 }

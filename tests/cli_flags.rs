@@ -1,7 +1,8 @@
 //! Strict flag parsing of the `tms` and `tmsd` binaries: a malformed
 //! value, a missing value or an unknown flag is a structured exit-2
 //! error that names the problem, never a silent default. Exit 1 is
-//! left for failed checks.
+//! left for failed checks. `--help` anywhere, subcommands included,
+//! prints the usage to standard output and exits 0.
 
 use std::process::Command;
 
@@ -104,5 +105,42 @@ fn tmsd_rejects_unknown_and_malformed_flags_before_serving() {
         let (code, stderr) = run(tmsd, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(names), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_0_at_every_level() {
+    let tmsd = env!("CARGO_BIN_EXE_tmsd");
+    for (exe, args, usage) in [
+        (env!("CARGO_BIN_EXE_tms"), &["--help"][..], "usage: tms "),
+        (env!("CARGO_BIN_EXE_tms"), &["help"][..], "usage: tms "),
+        (
+            env!("CARGO_BIN_EXE_tms"),
+            &["schedule", "figure1", "--help"][..],
+            "usage: tms ",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tms"),
+            &["simulate", "lfk7-state", "--iters", "5", "-h"][..],
+            "usage: tms ",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tms"),
+            &["profile", "figure1", "--help"][..],
+            "usage: tms ",
+        ),
+        (tmsd, &["--help"][..], "usage: tmsd "),
+        (tmsd, &["serve", "--help"][..], "usage: tmsd "),
+        (
+            tmsd,
+            &["soak", "--requests", "3", "--help"][..],
+            "usage: tmsd ",
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(stdout.starts_with(usage), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}");
     }
 }
